@@ -3,22 +3,26 @@
 Measurements travel as CSV (trainer-agnostic, appendable), computed
 results as JSON with canonical serialization (sorted keys, shortest
 round-trip floats) so identical inputs reproduce identical bytes.  Every
-JSON artifact embeds a content digest of its input file, which makes
-stale-artifact misuse detectable, plus a full parameter echo.  Timestamps
-are quarantined in the single ``created_at`` field and excluded from
-reproducibility comparisons.
+JSON artifact carries one envelope: content digests of its input files,
+a full parameter echo, schema and tool versions, and a timestamp
+quarantined in the single ``created_at`` field, which digests and
+reproducibility comparisons exclude.
 """
 
 from __future__ import annotations
 
 import datetime
+import errno
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+import re
+import stat
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from .errors import DataError
+from .errors import DataError, ToolkitError
 from .fitting import PowerLawFit, RegionSegmentation
 from .manifest import ImageRecord, SubsetManifest
 from .model import Measurement, MeasurementSet
@@ -26,24 +30,20 @@ from .planning import NoiseImpactReport
 
 MEASUREMENT_HEADER = "metric,n,replicate,value"
 IMAGES_HEADER = "image_id,class,capture_group"
-
-
-def tool_version() -> str:
-    from . import __version__
-
-    return __version__
+# Version of the JSON layout written here; files without the key predate it.
+SCHEMA_VERSION = 1
+# A created_at entry as dumps_canonical writes it, at any depth.
+CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
 
 
 def utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_path(path: str | Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    """SHA-256 of a file without its ``created_at`` entries, so an artifact
+    derived from a rerun of the same command gets the same digest."""
+    return hashlib.sha256(CREATED_AT.sub(b"", read_file(path, text=False))).hexdigest()
 
 
 def format_float(x: float) -> str:
@@ -55,23 +55,118 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def read_file(path: str | Path, text: bool = True) -> str | bytes:
+    """A file's contents, decoded as UTF-8 when ``text``; any failure to
+    read or decode it is a DataError naming the file."""
+    p = Path(path)
+    try:
+        data = p.read_bytes()
+        return data.decode("utf-8") if text else data
+    except FileNotFoundError:
+        raise DataError(f"no such file: {p}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {p}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{p}: not UTF-8 text (byte {exc.start})") from None
+
+
+def write_files(*files: tuple[str | Path, str]) -> None:
+    """Write ``(path, text)`` pairs as UTF-8, each replacing its target atomically.
+
+    Every text goes in full to a temporary sibling first; then one
+    ``os.replace`` per file puts it in place.  A failure before the renames
+    leaves every target as it was, one on a later rename leaves the earlier
+    targets replaced; no temporary is left behind.  Any failure is a DataError.
+
+    As with a plain write, a symlink is written through (its target file is
+    replaced), an existing file keeps its permission bits, a new one gets
+    the umask default, and a file the caller may not write is refused.
+    """
+    temps: list[Path] = []
+    try:
+        for path, text in files:
+            target = Path(os.path.realpath(path))
+            if target.exists() and not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            temps.append(target.parent / f".{target.name}.{os.getpid()}.tmp")
+            temps[-1].write_text(text, encoding="utf-8")
+            if target.is_file():
+                os.chmod(temps[-1], stat.S_IMODE(target.stat().st_mode))
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, os.path.realpath(path))
+    except (OSError, UnicodeEncodeError) as exc:
+        raise DataError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def write_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    write_files((path, dumps_canonical(obj)))
 
 
 def load_json(path: str | Path) -> Any:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{p}: not valid JSON ({exc})") from exc
+        return json.loads(read_file(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+
+
+def envelope(kind: str, body: dict, inputs: dict, params: dict, created_at: str | None = None) -> dict:
+    """An artifact's JSON document: ``body``, the ``inputs`` digests under
+    their own keys (``input_digest``, ...), and the shared provenance."""
+    from . import __version__
+
+    return {
+        **body,
+        **inputs,
+        "kind": kind,
+        "params": dict(params),
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "created_at": created_at if created_at is not None else utc_now(),
+    }
+
+
+def load_artifact(path: str | Path, kind: str) -> Any:
+    """Decode the JSON artifact of the given kind at ``path``.
+
+    Any other kind, a schema newer than ``SCHEMA_VERSION`` or malformed
+    content raises a DataError naming the file.
+    """
+    doc = load_json(path)
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if found != kind:
+        what = f"kind={found!r}" if isinstance(doc, dict) else f"a JSON {type(doc).__name__}"
+        hint = "; a --method both file holds two fits, pick one" if found == "fit_pair" else ""
+        raise DataError(f"{path}: expected a {kind} artifact (kind={kind!r}), got {what}{hint}")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if not isinstance(version, int) or version > SCHEMA_VERSION:
+        raise DataError(f"{path}: unsupported schema_version {version!r}, this learncurve reads up to {SCHEMA_VERSION}")
+    try:
+        return _DECODERS[kind](doc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ToolkitError) as exc:
+        raise DataError(f"{path}: malformed {kind} artifact ({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------
 # Measurement CSV
 # ---------------------------------------------------------------------------
+
+
+def _csv_rows(path: str | Path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row under an exact header."""
+    lines = read_file(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0] != header:
+        raise DataError(f"{path}:1: header must be exactly {header!r}, got {lines[0]!r}")
+    width = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+        yield lineno, cells
 
 
 def read_measurements(path: str | Path) -> MeasurementSet:
@@ -81,45 +176,31 @@ def read_measurements(path: str | Path) -> MeasurementSet:
     extra columns, malformed numbers, or duplicate (metric, n, replicate)
     keys are rejected with their line number.  Blank lines are ignored.
     """
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {p}")
     points: list[Measurement] = []
     seen: set[tuple[str, int, int]] = set()
-    with open(p, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != MEASUREMENT_HEADER:
-            raise DataError(f"{p}:1: header must be exactly {MEASUREMENT_HEADER!r}, got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise DataError(f"{p}:{lineno}: expected 4 columns, got {len(fields)}")
-            metric, n_s, r_s, v_s = fields
-            if not metric:
-                raise DataError(f"{p}:{lineno}: empty metric name")
-            try:
-                n = int(n_s)
-                r = int(r_s)
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: n and replicate must be integers") from None
-            try:
-                v = float(v_s)
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: value {v_s!r} is not a number") from None
-            if n < 1:
-                raise DataError(f"{p}:{lineno}: n must be >= 1, got {n}")
-            if r < 0:
-                raise DataError(f"{p}:{lineno}: replicate must be >= 0, got {r}")
-            if v < 0:
-                raise DataError(f"{p}:{lineno}: value must be >= 0, got {v}")
-            key = (metric, n, r)
-            if key in seen:
-                raise DataError(f"{p}:{lineno}: duplicate observation for {key}")
-            seen.add(key)
-            points.append(Measurement(metric, n, r, v))
+    for lineno, (metric, n_s, r_s, v_s) in _csv_rows(path, MEASUREMENT_HEADER):
+        if not metric:
+            raise DataError(f"{path}:{lineno}: empty metric name")
+        try:
+            n = int(n_s)
+            r = int(r_s)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: n and replicate must be integers") from None
+        try:
+            v = float(v_s)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: value {v_s!r} is not a number") from None
+        if n < 1:
+            raise DataError(f"{path}:{lineno}: n must be >= 1, got {n}")
+        if r < 0:
+            raise DataError(f"{path}:{lineno}: replicate must be >= 0, got {r}")
+        if v < 0:
+            raise DataError(f"{path}:{lineno}: value must be >= 0, got {v}")
+        key = (metric, n, r)
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
+        seen.add(key)
+        points.append(Measurement(metric, n, r, v))
     return MeasurementSet(tuple(points))
 
 
@@ -131,30 +212,16 @@ def measurements_to_csv(ms: MeasurementSet) -> str:
 
 
 def write_measurements(ms: MeasurementSet, path: str | Path) -> None:
-    Path(path).write_text(measurements_to_csv(ms), encoding="utf-8")
+    write_files((path, measurements_to_csv(ms)))
 
 
 def read_images(path: str | Path) -> list[tuple[str, str, str | None]]:
     """Parse an image-pool CSV: header ``image_id,class,capture_group``."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {p}")
     rows: list[tuple[str, str, str | None]] = []
-    with open(p, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != IMAGES_HEADER:
-            raise DataError(f"{p}:1: header must be exactly {IMAGES_HEADER!r}, got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise DataError(f"{p}:{lineno}: expected 3 columns, got {len(fields)}")
-            image_id, class_name, group = fields
-            if not image_id or not class_name:
-                raise DataError(f"{p}:{lineno}: image_id and class must be non-empty")
-            rows.append((image_id, class_name, group or None))
+    for lineno, (image_id, class_name, group) in _csv_rows(path, IMAGES_HEADER):
+        if not image_id or not class_name:
+            raise DataError(f"{path}:{lineno}: image_id and class must be non-empty")
+        rows.append((image_id, class_name, group or None))
     return rows
 
 
@@ -163,108 +230,59 @@ def read_images(path: str | Path) -> list[tuple[str, str, str | None]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitArtifact:
+@dataclass(frozen=True, kw_only=True)
+class FitArtifact(PowerLawFit):
     """A fit plus everything needed to audit and reproduce it."""
 
     metric: str
-    alpha: float
-    c: float
-    method: str
-    n_range: tuple[int, int]
-    rss: float
-    r_squared: float | None
-    ci_alpha: tuple[float, float] | None
-    iterations: int | None
     input_digest: str
-    tool_version: str
-    created_at: str
     params: dict
+    created_at: str
 
     @classmethod
     def from_fit(
-        cls,
-        fit: PowerLawFit,
-        metric: str,
-        input_digest: str,
-        params: dict,
-        created_at: str | None = None,
+        cls, fit: PowerLawFit, metric: str, input_digest: str, params: dict, created_at: str | None = None
     ) -> "FitArtifact":
         return cls(
+            **_fit_fields(fit),
             metric=metric,
-            alpha=fit.alpha,
-            c=fit.c,
-            method=fit.method,
-            n_range=fit.n_range,
-            rss=fit.rss,
-            r_squared=fit.r_squared,
-            ci_alpha=fit.ci_alpha,
-            iterations=fit.iterations,
             input_digest=input_digest,
-            tool_version=tool_version(),
-            created_at=created_at if created_at is not None else utc_now(),
             params=dict(params),
+            created_at=created_at if created_at is not None else utc_now(),
         )
 
     def fit(self) -> PowerLawFit:
-        return PowerLawFit(
-            alpha=self.alpha,
-            c=self.c,
-            method=self.method,
-            n_range=tuple(self.n_range),
-            rss=self.rss,
-            r_squared=self.r_squared,
-            ci_alpha=tuple(self.ci_alpha) if self.ci_alpha is not None else None,
-            iterations=self.iterations,
-        )
+        return PowerLawFit(**_fit_fields(self))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "fit",
-            "metric": self.metric,
-            "alpha": self.alpha,
-            "c": self.c,
-            "method": self.method,
-            "n_range": list(self.n_range),
-            "rss": self.rss,
-            "r_squared": self.r_squared,
-            "ci_alpha": list(self.ci_alpha) if self.ci_alpha is not None else None,
-            "iterations": self.iterations,
-            "input_digest": self.input_digest,
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "params": self.params,
-        }
+        body = {k: list(v) if isinstance(v, tuple) else v for k, v in _fit_fields(self).items()}
+        body["metric"] = self.metric
+        return envelope("fit", body, {"input_digest": self.input_digest}, self.params, self.created_at)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitArtifact":
-        if d.get("kind") != "fit":
-            raise DataError(
-                f"expected a fit artifact (kind='fit'), got kind={d.get('kind')!r}; "
-                "a --method both file holds two fits, pick one"
-            )
         return cls(
-            metric=d["metric"],
             alpha=float(d["alpha"]),
             c=float(d["c"]),
-            method=d["method"],
+            method=str(d["method"]),
             n_range=(int(d["n_range"][0]), int(d["n_range"][1])),
             rss=float(d["rss"]),
             r_squared=None if d["r_squared"] is None else float(d["r_squared"]),
             ci_alpha=None if d["ci_alpha"] is None else (float(d["ci_alpha"][0]), float(d["ci_alpha"][1])),
             iterations=None if d.get("iterations") is None else int(d["iterations"]),
+            metric=d["metric"],
             input_digest=d["input_digest"],
-            tool_version=d["tool_version"],
             created_at=d["created_at"],
             params=dict(d.get("params", {})),
         )
 
 
+def _fit_fields(fit: PowerLawFit) -> dict:
+    return {f.name: getattr(fit, f.name) for f in fields(PowerLawFit)}
+
+
 def load_fit_artifact(path: str | Path) -> FitArtifact:
-    d = load_json(path)
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return FitArtifact.from_dict(d)
+    return load_artifact(path, "fit")
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +291,9 @@ def load_fit_artifact(path: str | Path) -> FitArtifact:
 
 
 def region_to_dict(
-    region: RegionSegmentation,
-    metric: str,
-    input_digest: str,
-    params: dict,
-    created_at: str | None = None,
+    region: RegionSegmentation, metric: str, input_digest: str, params: dict, created_at: str | None = None
 ) -> dict:
-    return {
-        "kind": "region",
+    body = {
         "metric": metric,
         "n_start_power_law": region.n_start_power_law,
         "n_end_power_law": region.n_end_power_law,
@@ -288,16 +301,11 @@ def region_to_dict(
             {"candidate_n": n, "r_squared": r2}
             for n, r2 in sorted(region.diagnostics.items())
         ],
-        "input_digest": input_digest,
-        "tool_version": tool_version(),
-        "created_at": created_at if created_at is not None else utc_now(),
-        "params": dict(params),
     }
+    return envelope("region", body, {"input_digest": input_digest}, params, created_at)
 
 
 def region_from_dict(d: dict) -> RegionSegmentation:
-    if d.get("kind") != "region":
-        raise DataError(f"expected a region artifact (kind='region'), got kind={d.get('kind')!r}")
     return RegionSegmentation(
         n_start_power_law=int(d["n_start_power_law"]),
         n_end_power_law=None if d["n_end_power_law"] is None else int(d["n_end_power_law"]),
@@ -306,24 +314,16 @@ def region_from_dict(d: dict) -> RegionSegmentation:
 
 
 def noise_impact_to_dict(
-    report: NoiseImpactReport,
-    clean_digest: str,
-    noisy_digest: str,
-    params: dict,
-    created_at: str | None = None,
+    report: NoiseImpactReport, clean_digest: str, noisy_digest: str, params: dict, created_at: str | None = None
 ) -> dict:
-    return {
-        "kind": "noise_impact",
+    body = {
         "delta_alpha": report.delta_alpha,
         "multipliers": [
             {"target_loss": t, "multiplier": m} for t, m in report.multipliers
         ],
-        "clean_digest": clean_digest,
-        "noisy_digest": noisy_digest,
-        "tool_version": tool_version(),
-        "created_at": created_at if created_at is not None else utc_now(),
-        "params": dict(params),
     }
+    inputs = {"clean_digest": clean_digest, "noisy_digest": noisy_digest}
+    return envelope("noise_impact", body, inputs, params, created_at)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +331,10 @@ def noise_impact_to_dict(
 # ---------------------------------------------------------------------------
 
 
-def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None) -> dict:
+def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None, params: dict | None = None) -> dict:
     order = {c: i for i, c in enumerate(m.classes)}
     records = sorted(m.records, key=lambda r: (order[r.true_label], r.class_rank))
-    return {
-        "kind": "manifest",
-        "input_digest": input_digest,
+    body = {
         "classes": list(m.classes),
         "per_class_pool": m.per_class_pool,
         "sizes": list(m.sizes),
@@ -353,11 +351,10 @@ def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None) -> dict
             for r in records
         ],
     }
+    return envelope("manifest", body, {"input_digest": input_digest}, params or {})
 
 
 def manifest_from_dict(d: dict) -> SubsetManifest:
-    if d.get("kind") != "manifest":
-        raise DataError(f"expected a manifest artifact (kind='manifest'), got kind={d.get('kind')!r}")
     return SubsetManifest(
         classes=tuple(d["classes"]),
         per_class_pool=int(d["per_class_pool"]),
@@ -377,12 +374,14 @@ def manifest_from_dict(d: dict) -> SubsetManifest:
     )
 
 
-def write_manifest(m: SubsetManifest, path: str | Path, input_digest: str | None = None) -> None:
-    write_json(manifest_to_dict(m, input_digest), path)
+def write_manifest(
+    m: SubsetManifest, path: str | Path, input_digest: str | None = None, params: dict | None = None
+) -> None:
+    write_json(manifest_to_dict(m, input_digest, params), path)
 
 
 def read_manifest(path: str | Path) -> SubsetManifest:
-    d = load_json(path)
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return manifest_from_dict(d)
+    return load_artifact(path, "manifest")
+
+
+_DECODERS = {"fit": FitArtifact.from_dict, "region": region_from_dict, "manifest": manifest_from_dict}

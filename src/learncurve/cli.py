@@ -17,14 +17,14 @@ from . import __version__
 from .artifacts import (
     FitArtifact,
     dumps_canonical,
+    envelope,
     format_float,
+    load_artifact,
     load_fit_artifact,
-    load_json,
     noise_impact_to_dict,
     read_images,
     read_manifest,
     read_measurements,
-    region_from_dict,
     region_to_dict,
     sha256_path,
     write_json,
@@ -79,13 +79,29 @@ def _select_metric(ms, metric):
     return sub
 
 
+def _say(text: str) -> None:
+    """Print ``text`` with what stdout cannot encode backslash-escaped, as
+    a path given as non-UTF-8 bytes (it arrives holding lone surrogates)."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
+def _emit(payload: dict, out: str | None, note: str = "") -> None:
+    """Write a JSON payload to ``out``, or to standard output without one."""
+    if out:
+        write_json(payload, out)
+        _say(f"wrote {out}{note}")
+    else:
+        _say(dumps_canonical(payload).rstrip("\n"))
+
+
 def _cmd_synth(args) -> int:
     model = ThreePhaseModel(alpha=args.alpha, c=args.c, plateau=args.plateau, floor=args.floor)
     ms = synth_curve(
         model, args.sizes, args.replicates, args.sigma, args.seed, metric=args.metric
     )
     write_measurements(ms, args.out)
-    print(f"wrote {args.out} ({len(ms)} points)")
+    _say(f"wrote {args.out} ({len(ms)} points)")
     return EXIT_OK
 
 
@@ -118,8 +134,7 @@ def _cmd_fit(args) -> int:
             "nonlinear": artifact(fit_b).to_dict(),
             "discrepancy": {"alpha": disc.alpha, "c": disc.c},
         }
-    write_json(payload, args.out)
-    print(f"wrote {args.out}")
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -132,50 +147,41 @@ def _cmd_region(args) -> int:
         plateau = random_guess_plateau(args.metric, args.classes)
     region = detect_power_law_region(sub, plateau=plateau, r2_threshold=args.r2)
     params = {"classes": args.classes, "plateau": plateau, "r2_threshold": args.r2}
-    write_json(region_to_dict(region, args.metric, digest, params), args.out)
-    print(f"wrote {args.out}")
+    _emit(region_to_dict(region, args.metric, digest, params), args.out)
     return EXIT_OK
 
 
 def _cmd_extrapolate(args) -> int:
-    art = load_fit_artifact(args.fit)
-    pred = extrapolate(art.fit(), args.n)
-    print(f"predicted loss at N={pred.n}: {format_float(pred.value)} ({pred.marker})")
+    pred = extrapolate(load_fit_artifact(args.fit), args.n)
+    _say(f"predicted loss at N={pred.n}: {format_float(pred.value)} ({pred.marker})")
     return EXIT_OK
 
 
 def _cmd_needed(args) -> int:
-    art = load_fit_artifact(args.fit)
-    n = required_sample_size(art.fit(), args.target)
-    print(f"required sample size for target {format_float(args.target)}: {n}")
+    n = required_sample_size(load_fit_artifact(args.fit), args.target)
+    _say(f"required sample size for target {format_float(args.target)}: {n}")
     return EXIT_OK
 
 
 def _cmd_intersect(args) -> int:
     art_a = load_fit_artifact(args.fit_a)
     art_b = load_fit_artifact(args.fit_b)
-    crossing = predict_intersection(art_a.fit(), art_b.fit())
-    winner = args.fit_a if crossing.superior == art_a.fit() else args.fit_b
-    print(f"curves intersect at N* = {format_float(crossing.n_star)}")
-    print(f"lower loss beyond N*: {winner}")
+    crossing = predict_intersection(art_a, art_b)
+    winner = args.fit_a if crossing.superior == art_a else args.fit_b
+    _say(f"curves intersect at N* = {format_float(crossing.n_star)}")
+    _say(f"lower loss beyond N*: {winner}")
     return EXIT_OK
 
 
 def _cmd_noise_impact(args) -> int:
-    art_clean = load_fit_artifact(args.clean)
-    art_noisy = load_fit_artifact(args.noisy)
-    report = noise_impact(art_clean.fit(), art_noisy.fit(), args.targets)
+    report = noise_impact(load_fit_artifact(args.clean), load_fit_artifact(args.noisy), args.targets)
     payload = noise_impact_to_dict(
         report,
         clean_digest=sha256_path(args.clean),
         noisy_digest=sha256_path(args.noisy),
         params={"targets": args.targets},
     )
-    if args.out:
-        write_json(payload, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(dumps_canonical(payload))
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -183,47 +189,39 @@ def _cmd_manifest_build(args) -> int:
     images = read_images(args.images)
     manifest = build_nested_subsets(images, args.sizes, args.seed)
     write_manifest(manifest, args.out, input_digest=sha256_path(args.images))
-    print(f"wrote {args.out} ({len(manifest.records)} records, {len(manifest.classes)} classes)")
+    _say(f"wrote {args.out} ({len(manifest.records)} records, {len(manifest.classes)} classes)")
     return EXIT_OK
 
 
 def _cmd_manifest_noise(args) -> int:
     manifest = read_manifest(args.infile)
     noisy = inject_label_noise(manifest, args.p, args.seed)
-    write_manifest(noisy, args.out, input_digest=sha256_path(args.infile))
+    params = {"p": args.p, "seed": args.seed}
+    write_manifest(noisy, args.out, input_digest=sha256_path(args.infile), params=params)
     flipped = sum(1 for r in noisy.records if r.noise_flag)
-    print(f"wrote {args.out} ({flipped} of {len(noisy.records)} labels flipped)")
+    _say(f"wrote {args.out} ({flipped} of {len(noisy.records)} labels flipped)")
     return EXIT_OK
 
 
 def _cmd_manifest_holdout(args) -> int:
     manifest = read_manifest(args.infile)
     train, validation = holdout_split(manifest, args.size, args.fraction, args.seed)
-    payload = {
-        "kind": "holdout",
-        "input_digest": sha256_path(args.infile),
-        "size": args.size,
-        "fraction": args.fraction,
-        "seed": args.seed,
-        "train": train,
-        "validation": validation,
-    }
-    if args.out:
-        write_json(payload, args.out)
-        print(f"wrote {args.out} ({len(train)} train, {len(validation)} validation)")
-    else:
-        sys.stdout.write(dumps_canonical(payload))
+    payload = envelope(
+        "holdout",
+        {"train": train, "validation": validation},
+        {"input_digest": sha256_path(args.infile)},
+        {"size": args.size, "fraction": args.fraction, "seed": args.seed},
+    )
+    _emit(payload, args.out, f" ({len(train)} train, {len(validation)} validation)")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     ms = read_measurements(args.input)
     fits = [load_fit_artifact(p) for p in args.fits] if args.fits else []
-    region = None
-    if args.region:
-        region = region_from_dict(load_json(args.region))
+    region = load_artifact(args.region, "region") if args.region else None
     out, sidecar = write_report(ms, fits, region, args.out)
-    print(f"wrote {out} and {sidecar}")
+    _say(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
 
@@ -332,15 +330,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NonConvergenceError, NoRegionError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_NUMERIC if isinstance(exc, (NonConvergenceError, NoRegionError)) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .artifacts import FitArtifact, format_float
+from .artifacts import FitArtifact, format_float, write_files
 from .errors import DataError, ParallelCurvesError
 from .fitting import RegionSegmentation
 from .model import MeasurementSet, aggregate
@@ -94,7 +94,7 @@ def build_report(
     ys = [row.mean for rows in agg.values() for row in rows if row.mean > 0]
     for art in fits:
         xs.extend(art.n_range)
-        ys.extend(art.fit().predict(n) for n in art.n_range)
+        ys.extend(art.predict(n) for n in art.n_range)
     for rows in agg.values():
         ys.extend(row.mean + row.std for row in rows if row.mean + row.std > 0)
     if not ys:
@@ -181,16 +181,15 @@ def build_report(
 
     for fi, art in enumerate(fits):
         strong, _ = PALETTE[metrics.index(art.metric) % len(PALETTE)]
-        fit = art.fit()
         n_lo, n_hi = art.n_range
-        pts = [(frame.x(n_lo), frame.y(fit.predict(n_lo))), (frame.x(n_hi), frame.y(fit.predict(n_hi)))]
+        pts = [(frame.x(n_lo), frame.y(art.predict(n_lo))), (frame.x(n_hi), frame.y(art.predict(n_hi)))]
         coords = f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} L {_fmt(pts[1][0])} {_fmt(pts[1][1])}"
         parts.append(
             f'<path class="fit" d="{coords}" fill="none" stroke="{strong}" '
             'stroke-width="1.6" stroke-dasharray="5 4"/>'
         )
-        table.append(f"fit_{art.method}_{fi},{art.metric},{n_lo},{format_float(fit.predict(n_lo))},,")
-        table.append(f"fit_{art.method}_{fi},{art.metric},{n_hi},{format_float(fit.predict(n_hi))},,")
+        table.append(f"fit_{art.method}_{fi},{art.metric},{n_lo},{format_float(art.predict(n_lo))},,")
+        table.append(f"fit_{art.method}_{fi},{art.metric},{n_hi},{format_float(art.predict(n_hi))},,")
 
     if region is not None:
         table.append(f"region_start,,{region.n_start_power_law},,,")
@@ -202,13 +201,13 @@ def build_report(
         for i in range(len(arts)):
             for j in range(i + 1, len(arts)):
                 try:
-                    crossing = predict_intersection(arts[i].fit(), arts[j].fit())
+                    crossing = predict_intersection(arts[i], arts[j])
                 except ParallelCurvesError:
                     continue
                 n_star = crossing.n_star
                 if not min(xs) <= n_star <= max(xs):
                     continue
-                v_star = arts[i].fit().predict(n_star)
+                v_star = arts[i].predict(n_star)
                 parts.append(
                     f'<circle class="intersection" cx="{_fmt(frame.x(n_star))}" '
                     f'cy="{_fmt(frame.y(v_star))}" r="6" fill="none" '
@@ -229,11 +228,15 @@ def write_report(
     path: str | Path,
     sidecar_path: str | Path | None = None,
 ) -> tuple[Path, Path]:
-    """Write the SVG report and its sidecar table; contents are built first
-    so a failure never leaves partial files."""
+    """Write the SVG report and its sidecar table (default: ``path`` with a
+    ``.csv`` suffix).  Both contents are written in full before either target
+    is replaced, so neither is ever truncated or half-written; but the two
+    renames are separate, and a failure on the second leaves the new SVG
+    next to the old sidecar."""
     svg, table = build_report(ms, fits, region)
     out = Path(path)
     sidecar = Path(sidecar_path) if sidecar_path is not None else out.with_suffix(".csv")
-    out.write_text(svg, encoding="utf-8")
-    sidecar.write_text(table, encoding="utf-8")
+    if sidecar == out:
+        raise DataError(f"{out}: the report and its sidecar table would share this path")
+    write_files((out, svg), (sidecar, table))
     return out, sidecar

@@ -1,6 +1,10 @@
 """Tests for CSV/JSON formats, digests, and artifact round trips."""
 
+import errno
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +18,10 @@ from learncurve import (
     synth_curve,
 )
 from learncurve.artifacts import (
+    SCHEMA_VERSION,
     FitArtifact,
     dumps_canonical,
+    envelope,
     load_fit_artifact,
     manifest_from_dict,
     manifest_to_dict,
@@ -27,6 +33,7 @@ from learncurve.artifacts import (
     write_manifest,
     write_measurements,
 )
+from learncurve.svgplot import write_report
 
 MODEL = ThreePhaseModel(alpha=-0.62, c=0.5 * 900**0.62, plateau=1.0, floor=0.0)
 
@@ -145,6 +152,51 @@ class TestFitArtifact:
             load_fit_artifact(path)
 
 
+class TestLoader:
+    def fit_file(self, tmp_path, drop=(), **override):
+        csv_path = tmp_path / "m.csv"
+        write_measurements(synth_set(), csv_path)
+        fit = fit_loglog(read_measurements(csv_path).only("top1_error"))
+        doc = {**FitArtifact.from_fit(fit, "top1_error", sha256_path(csv_path), {}).to_dict(), **override}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k not in drop}))
+        return path, fit
+
+    def test_every_artifact_carries_the_envelope(self, tmp_path):
+        path, _ = self.fit_file(tmp_path)
+        pool = [(f"img{i:03d}", f"c{i % 3}", None) for i in range(30)]
+        docs = [
+            json.loads(path.read_text()),
+            manifest_to_dict(build_nested_subsets(pool, [6], seed=2)),
+            envelope("holdout", {"train": []}, {"input_digest": "x"}, {"seed": 1}),
+        ]
+        for doc in docs:
+            assert {"kind", "params", "schema_version", "tool_version", "created_at"} <= set(doc)
+            assert doc["schema_version"] == SCHEMA_VERSION
+
+    def test_file_without_schema_version_still_loads(self, tmp_path):
+        path, fit = self.fit_file(tmp_path, drop=("schema_version",))
+        assert "schema_version" not in json.loads(path.read_text())
+        assert load_fit_artifact(path).fit() == fit
+
+    def test_newer_schema_version_is_refused(self, tmp_path):
+        path, _ = self.fit_file(tmp_path, schema_version=SCHEMA_VERSION + 1)
+        with pytest.raises(DataError, match="schema_version"):
+            load_fit_artifact(path)
+
+    def test_malformed_body_names_the_file(self, tmp_path):
+        path, _ = self.fit_file(tmp_path, ci_alpha=[0.1])
+        with pytest.raises(DataError, match="fit.json: malformed fit artifact"):
+            load_fit_artifact(path)
+
+    def test_digest_ignores_created_at(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(envelope("region", {}, {}, {}, created_at="2026-01-01T00:00:00+00:00"), first)
+        write_json(envelope("region", {}, {}, {}, created_at="2026-01-02T00:00:00+00:00"), second)
+        assert first.read_bytes() != second.read_bytes()
+        assert sha256_path(first) == sha256_path(second)
+
+
 class TestCanonicalJson:
     def test_key_order_fixed(self):
         assert dumps_canonical({"b": 1, "a": 2}) == dumps_canonical({"a": 2, "b": 1})
@@ -172,3 +224,99 @@ class TestManifestJson:
         write_json({"kind": "fit"}, path)
         with pytest.raises(DataError, match="manifest"):
             read_manifest(path)
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def fail_writes_to(monkeypatch, name):
+        """Make every text write to a file whose name contains ``name`` stop halfway."""
+        real = Path.write_text
+
+        def half_then_fail(self, data, *args, **kwargs):
+            if name not in self.name:
+                return real(self, data, *args, **kwargs)
+            real(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "fit.json"
+        write_json({"old": True}, path)
+        before = path.read_bytes()
+        self.fail_writes_to(monkeypatch, "fit.json")
+        with pytest.raises((OSError, DataError)):
+            write_json({"new": list(range(100))}, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json"]
+
+    def test_failed_sidecar_leaves_both_report_files_as_they_were(self, tmp_path, monkeypatch):
+        out = tmp_path / "plot.svg"
+        write_report(synth_set(), [], None, out)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self.fail_writes_to(monkeypatch, "plot.csv")
+        with pytest.raises((OSError, DataError)):
+            write_report(synth_set(sigma=0.2), [], None, out)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_second_rename_leaves_no_temporary(self, tmp_path):
+        (tmp_path / "plot.csv").mkdir()
+        with pytest.raises(DataError, match="plot.csv"):
+            write_report(synth_set(), [], None, tmp_path / "plot.svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.csv", "plot.svg"]
+
+    def test_report_refuses_to_overwrite_itself_with_its_sidecar(self, tmp_path):
+        with pytest.raises(DataError, match="sidecar"):
+            write_report(synth_set(), [], None, tmp_path / "plot.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outputs_get_the_mode_of_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}\n", encoding="utf-8")
+        write_json({}, tmp_path / "a.json")
+        write_measurements(synth_set(), tmp_path / "m.csv")
+        out, sidecar = write_report(synth_set(), [], None, tmp_path / "plot.svg")
+        modes = {stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "a.json", tmp_path / "m.csv", out, sidecar)}
+        assert modes == {stat.S_IMODE(plain.stat().st_mode)}
+
+    def test_overwritten_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text("{}\n", encoding="utf-8")
+        path.chmod(0o640)
+        write_json({"new": 1}, path)
+        assert json.loads(path.read_text()) == {"new": 1}
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("{}\n", encoding="utf-8")
+        link.symlink_to(real)
+        write_json({"new": 1}, link)
+        assert link.is_symlink()
+        assert json.loads(real.read_text()) == {"new": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_read_only_file_fares_as_under_a_plain_write(self, tmp_path):
+        plain, path = tmp_path / "plain.json", tmp_path / "a.json"
+        for p in (plain, path):
+            p.write_text("{}\n", encoding="utf-8")
+            p.chmod(0o444)
+        try:
+            plain.write_text("[]\n", encoding="utf-8")
+        except PermissionError:
+            with pytest.raises(DataError, match="a.json: Permission denied"):
+                write_json([], path)
+            assert path.read_text() == "{}\n"
+        else:  # the superuser writes read-only files
+            write_json([], path)
+            assert path.read_text() == "[]\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o444
+
+    def test_file_the_caller_may_not_write_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.json"
+        write_json({}, path)
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        with pytest.raises(DataError, match="a.json: Permission denied"):
+            write_json({"new": 1}, path)
+        assert json.loads(path.read_text()) == {}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from learncurve import artifacts
 from learncurve.cli import main
 
 
@@ -200,6 +205,42 @@ class TestManifestCommands:
         assert len(split["train"]) == 24
         assert not set(split["train"]) & set(split["validation"])
 
+    def test_manifest_outputs_echo_their_parameters(self, tmp_path, capsys, images_csv):
+        manifest_path, noisy_path = tmp_path / "m.json", tmp_path / "noisy.json"
+        assert main(["manifest", "build", "--images", str(images_csv), "--sizes", "6,30",
+                     "--seed", "11", "--out", str(manifest_path)]) == 0
+        assert main(["manifest", "noise", "--in", str(manifest_path), "--p", "0.25",
+                     "--seed", "3", "--out", str(noisy_path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "manifest", "holdout", "--in", str(noisy_path), "--size", "30",
+                           "--fraction", "0.2", "--seed", "4")
+        assert code == 0
+        built, noisy, split = json.loads(manifest_path.read_text()), json.loads(noisy_path.read_text()), json.loads(out)
+        assert built["params"] == {}
+        assert (built["sizes"], built["seed"]) == ([6, 30], 11)
+        assert noisy["params"] == {"p": 0.25, "seed": 3}
+        assert split["params"] == {"size": 30, "fraction": 0.2, "seed": 4}
+        for doc in (built, noisy, split):
+            assert doc["schema_version"] == 1 and doc["tool_version"] and doc["created_at"]
+
+    def test_derived_outputs_ignore_when_their_input_was_built(self, tmp_path, capsys, images_csv, monkeypatch):
+        outputs = []
+        for day in ("01", "02"):
+            monkeypatch.setattr(artifacts, "utc_now", lambda: f"2026-01-{day}T00:00:00+00:00")
+            base = tmp_path / day
+            base.mkdir()
+            assert main(["manifest", "build", "--images", str(images_csv), "--sizes", "6,30",
+                         "--seed", "11", "--out", str(base / "m.json")]) == 0
+            assert main(["manifest", "noise", "--in", str(base / "m.json"), "--p", "0.2",
+                         "--seed", "3", "--out", str(base / "noisy.json")]) == 0
+            assert main(["manifest", "holdout", "--in", str(base / "m.json"), "--size", "30",
+                         "--seed", "4", "--out", str(base / "split.json")]) == 0
+            outputs.append({name: json.loads((base / name).read_text()) for name in ("noisy.json", "split.json")})
+        capsys.readouterr()
+        for name in ("noisy.json", "split.json"):
+            first, second = (dict(o[name], created_at=None) for o in outputs)
+            assert first == second, name
+
 
 class TestFailureModes:
     def test_missing_input_file_is_a_data_error(self, tmp_path, capsys):
@@ -295,3 +336,149 @@ class TestReproducibility:
         assert (first / "plot.csv").read_bytes() == (second / "plot.csv").read_bytes()
         for name in ("fit.json", "ll.json", "region.json", "m.json", "noisy.json", "split.json"):
             assert self.scrub((first / name).read_text()) == self.scrub((second / name).read_text()), name
+
+
+def _fit_file(tmp_path, **override):
+    """A valid loglog fit artifact, with top-level keys replaced by ``override``."""
+    csv, out = tmp_path / "fit_input.csv", tmp_path / "fit.json"
+    assert main(synth_args(csv)) == 0
+    assert main(["fit", "--input", str(csv), "--metric", "top1_error",
+                 "--method", "loglog", "--out", str(out)]) == 0
+    out.write_text(json.dumps({**json.loads(out.read_text()), **override}))
+    return out
+
+
+def _manifest_without_class_rank(tmp_path):
+    images, out = tmp_path / "images.csv", tmp_path / "m.json"
+    images.write_text("image_id,class,capture_group\n" + "".join(f"i{i},c{i % 2},\n" for i in range(8)))
+    assert main(["manifest", "build", "--images", str(images), "--sizes", "2,4",
+                 "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["records"][0]["class_rank"]
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def _file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
+def _report_with_sidecar_dir(tmp_path):
+    csv = tmp_path / "d.csv"
+    assert main(synth_args(csv)) == 0
+    (tmp_path / "plot.csv").mkdir()
+    return ["report", "--input", str(csv), "--out", str(tmp_path / "plot.svg")]
+
+
+# Each case builds its inputs in tmp_path and returns the failing command line.
+BAD_INPUTS = {
+    "fit-without-fields": lambda t: [
+        "extrapolate", "--fit", str(_file(t, "f.json", b'{"kind":"fit"}')), "--n", "1000"],
+    "input-is-a-directory": lambda t: [
+        "fit", "--input", str(t), "--metric", "m", "--out", str(t / "o.json")],
+    "in-is-a-directory": lambda t: [
+        "manifest", "noise", "--in", str(t), "--p", "0.1", "--seed", "1", "--out", str(t / "o.json")],
+    "out-is-a-directory": lambda t: synth_args(t),
+    "region-is-a-list": lambda t: [
+        "report", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,0.5\n")),
+        "--region", str(_file(t, "r.json", b"[1, 2]")), "--out", str(t / "p.svg")],
+    "csv-not-utf8": lambda t: [
+        "fit", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm\xff,10,0,0.5\n")),
+        "--metric", "m", "--out", str(t / "o.json")],
+    "alpha-not-a-number": lambda t: [
+        "extrapolate", "--fit", str(_fit_file(t, alpha="abc")), "--n", "1000"],
+    "n-range-not-a-pair": lambda t: [
+        "extrapolate", "--fit", str(_fit_file(t, n_range=5)), "--n", "1000"],
+    "record-without-class-rank": lambda t: [
+        "manifest", "holdout", "--in", str(_manifest_without_class_rank(t)), "--size", "4", "--seed", "1"],
+    "sidecar-is-a-directory": _report_with_sidecar_dir,
+    # A non-UTF-8 command-line byte arrives as a lone surrogate.
+    "metric-not-encodable": lambda t: synth_args(t / "d.csv", metric="m\udcff"),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_one_line_error_and_exit_code(self, tmp_path, capsys, case):
+        argv = BAD_INPUTS[case](tmp_path)
+        capsys.readouterr()
+        code, _, err = run(capsys, *argv)
+        assert code in (2, 3, 4)
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: ")
+
+    def test_undecodable_out_path_is_written_and_echoed_escaped(self, tmp_path, capsys):
+        # A non-UTF-8 byte in a path arrives as a lone surrogate that stdout cannot encode.
+        out = tmp_path / "d\udcff.csv"
+        code, stdout, err = run(capsys, *synth_args(out))
+        assert (code, err) == (0, "")
+        assert stdout == f"wrote {tmp_path}/d\\udcff.csv (35 points)\n"
+        assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def artifacts_by_kind(tmp_path_factory):
+    """Bytes of one valid artifact of every kind the CLI writes."""
+    d = tmp_path_factory.mktemp("kinds")
+    images = d / "images.csv"
+    images.write_text("image_id,class,capture_group\n" + "".join(f"i{i},c{i % 2},\n" for i in range(8)))
+    commands = [
+        synth_args(d / "d.csv"),
+        ["fit", "--input", str(d / "d.csv"), "--metric", "top1_error", "--method", "loglog",
+         "--out", str(d / "fit.json")],
+        ["fit", "--input", str(d / "d.csv"), "--metric", "top1_error", "--out", str(d / "pair.json")],
+        ["region", "--input", str(d / "d.csv"), "--metric", "top1_error", "--out", str(d / "region.json")],
+        ["noise-impact", "--clean", str(d / "fit.json"), "--noisy", str(d / "fit.json"),
+         "--targets", "0.1", "--out", str(d / "impact.json")],
+        ["manifest", "build", "--images", str(images), "--sizes", "2,4", "--seed", "1",
+         "--out", str(d / "manifest.json")],
+        ["manifest", "holdout", "--in", str(d / "manifest.json"), "--size", "4", "--seed", "1",
+         "--out", str(d / "holdout.json")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    names = ("d.csv", "fit.json", "pair.json", "region.json", "impact.json", "manifest.json", "holdout.json")
+    return d, {name: (d / name).read_bytes() for name in names}
+
+
+# The option under test, the command that reads it, and the artifacts it accepts.
+FUZZ_TARGETS = {
+    "--fit": (lambda f, d: ["extrapolate", "--fit", f, "--n", "1000"], {"fit.json"}),
+    "--region": (lambda f, d: ["report", "--input", str(d / "d.csv"), "--region", f,
+                               "--out", str(d / "fuzz.svg")], {"region.json"}),
+    "--in": (lambda f, d: ["manifest", "holdout", "--in", f, "--size", "4", "--seed", "1"],
+             {"manifest.json"}),
+    "--input": (lambda f, d: ["fit", "--input", f, "--metric", "top1_error",
+                              "--out", str(d / "fuzz.json")], {"d.csv"}),
+}
+
+
+@st.composite
+def fuzzed_files(draw, kinds):
+    """(option, file bytes): random bytes, a truncated artifact, or a valid one of another kind."""
+    option = draw(st.sampled_from(sorted(FUZZ_TARGETS)))
+    source = draw(st.sampled_from(["random", "truncated", "wrong-kind"]))
+    if source == "random":
+        return option, draw(st.binary(max_size=200))
+    if source == "truncated":
+        # Without its closing brace and final newline no JSON artifact parses.
+        whole = kinds[draw(st.sampled_from(sorted(k for k in kinds if k.endswith(".json"))))]
+        return option, whole[: draw(st.integers(0, len(whole) - 2))]
+    return option, kinds[draw(st.sampled_from(sorted(set(kinds) - FUZZ_TARGETS[option][1])))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_files_give_one_line_errors(artifacts_by_kind, data):
+    d, kinds = artifacts_by_kind
+    option, content = data.draw(fuzzed_files(kinds))
+    path = d / "fuzzed"
+    path.write_bytes(content)
+    argv = FUZZ_TARGETS[option][0](str(path), d)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (2, 3, 4), (argv, content[:80])
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
