@@ -40,10 +40,33 @@ def utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(CREATED_AT.sub(b"", data)).hexdigest()
+
+
 def sha256_path(path: str | Path) -> str:
     """SHA-256 of a file without its ``created_at`` entries, so an artifact
     derived from a rerun of the same command gets the same digest."""
-    return hashlib.sha256(CREATED_AT.sub(b"", read_file(path, text=False))).hexdigest()
+    return _digest(read_file(path, text=False))
+
+
+@dataclass(frozen=True)
+class InputFile:
+    """An input file read once: its UTF-8 text and the digest of the same
+    bytes (as :func:`sha256_path` computes it).  Every reader here accepts
+    it in place of a path, so what is parsed is what is digested."""
+
+    path: str
+    text: str
+    digest: str
+
+    @classmethod
+    def read(cls, path: str | Path) -> "InputFile":
+        data = read_file(path, text=False)
+        return cls(str(path), _decode(data, Path(path)), _digest(data))
+
+    def __str__(self) -> str:  # messages name the file
+        return self.path
 
 
 def format_float(x: float) -> str:
@@ -55,19 +78,27 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def read_file(path: str | Path, text: bool = True) -> str | bytes:
+def read_file(path: str | Path | InputFile, text: bool = True) -> str | bytes:
     """A file's contents, decoded as UTF-8 when ``text``; any failure to
-    read or decode it is a DataError naming the file."""
+    read or decode it is a DataError naming the file.  An InputFile gives
+    its text without another read."""
+    if isinstance(path, InputFile):
+        return path.text
     p = Path(path)
     try:
         data = p.read_bytes()
-        return data.decode("utf-8") if text else data
     except FileNotFoundError:
         raise DataError(f"no such file: {p}") from None
     except OSError as exc:
         raise DataError(f"cannot read {p}: {exc.strerror or exc}") from None
+    return _decode(data, p) if text else data
+
+
+def _decode(data: bytes, path: str | Path) -> str:
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{p}: not UTF-8 text (byte {exc.start})") from None
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def write_files(*files: tuple[str | Path, str]) -> None:

@@ -16,6 +16,7 @@ import sys
 from . import __version__
 from .artifacts import (
     FitArtifact,
+    InputFile,
     dumps_canonical,
     envelope,
     format_float,
@@ -26,7 +27,6 @@ from .artifacts import (
     read_manifest,
     read_measurements,
     region_to_dict,
-    sha256_path,
     write_json,
     write_manifest,
     write_measurements,
@@ -106,9 +106,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    ms = read_measurements(args.input)
-    digest = sha256_path(args.input)
-    sub = _select_metric(ms, args.metric)
+    source = InputFile.read(args.input)
+    sub = _select_metric(read_measurements(source), args.metric)
     params = {
         "n_min": args.n_min,
         "n_max": args.n_max,
@@ -118,7 +117,7 @@ def _cmd_fit(args) -> int:
     }
 
     def artifact(fit) -> FitArtifact:
-        return FitArtifact.from_fit(fit, args.metric, digest, params)
+        return FitArtifact.from_fit(fit, args.metric, source.digest, params)
 
     if args.method in (LOGLOG, NONLINEAR):
         fitter = fit_loglog if args.method == LOGLOG else fit_nonlinear
@@ -128,26 +127,25 @@ def _cmd_fit(args) -> int:
         fit_a = fit_loglog(sub, args.n_min, args.n_max, on_means=args.on_means)
         fit_b = fit_nonlinear(sub, args.n_min, args.n_max, on_means=args.on_means)
         disc = fit_discrepancy(fit_a, fit_b)
-        payload = {
-            "kind": "fit_pair",
+        body = {
             "loglog": artifact(fit_a).to_dict(),
             "nonlinear": artifact(fit_b).to_dict(),
             "discrepancy": {"alpha": disc.alpha, "c": disc.c},
         }
+        payload = envelope("fit_pair", body, {"input_digest": source.digest}, params)
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_region(args) -> int:
-    ms = read_measurements(args.input)
-    digest = sha256_path(args.input)
-    sub = _select_metric(ms, args.metric)
+    source = InputFile.read(args.input)
+    sub = _select_metric(read_measurements(source), args.metric)
     plateau = None
     if args.classes is not None:
         plateau = random_guess_plateau(args.metric, args.classes)
     region = detect_power_law_region(sub, plateau=plateau, r2_threshold=args.r2)
     params = {"classes": args.classes, "plateau": plateau, "r2_threshold": args.r2}
-    _emit(region_to_dict(region, args.metric, digest, params), args.out)
+    _emit(region_to_dict(region, args.metric, source.digest, params), args.out)
     return EXIT_OK
 
 
@@ -174,11 +172,14 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_noise_impact(args) -> int:
-    report = noise_impact(load_fit_artifact(args.clean), load_fit_artifact(args.noisy), args.targets)
+    clean = InputFile.read(args.clean)
+    clean_fit = load_fit_artifact(clean)
+    noisy = InputFile.read(args.noisy)
+    report = noise_impact(clean_fit, load_fit_artifact(noisy), args.targets)
     payload = noise_impact_to_dict(
         report,
-        clean_digest=sha256_path(args.clean),
-        noisy_digest=sha256_path(args.noisy),
+        clean_digest=clean.digest,
+        noisy_digest=noisy.digest,
         params={"targets": args.targets},
     )
     _emit(payload, args.out)
@@ -186,30 +187,30 @@ def _cmd_noise_impact(args) -> int:
 
 
 def _cmd_manifest_build(args) -> int:
-    images = read_images(args.images)
-    manifest = build_nested_subsets(images, args.sizes, args.seed)
-    write_manifest(manifest, args.out, input_digest=sha256_path(args.images))
+    source = InputFile.read(args.images)
+    manifest = build_nested_subsets(read_images(source), args.sizes, args.seed)
+    write_manifest(manifest, args.out, input_digest=source.digest)
     _say(f"wrote {args.out} ({len(manifest.records)} records, {len(manifest.classes)} classes)")
     return EXIT_OK
 
 
 def _cmd_manifest_noise(args) -> int:
-    manifest = read_manifest(args.infile)
-    noisy = inject_label_noise(manifest, args.p, args.seed)
+    source = InputFile.read(args.infile)
+    noisy = inject_label_noise(read_manifest(source), args.p, args.seed)
     params = {"p": args.p, "seed": args.seed}
-    write_manifest(noisy, args.out, input_digest=sha256_path(args.infile), params=params)
+    write_manifest(noisy, args.out, input_digest=source.digest, params=params)
     flipped = sum(1 for r in noisy.records if r.noise_flag)
     _say(f"wrote {args.out} ({flipped} of {len(noisy.records)} labels flipped)")
     return EXIT_OK
 
 
 def _cmd_manifest_holdout(args) -> int:
-    manifest = read_manifest(args.infile)
-    train, validation = holdout_split(manifest, args.size, args.fraction, args.seed)
+    source = InputFile.read(args.infile)
+    train, validation = holdout_split(read_manifest(source), args.size, args.fraction, args.seed)
     payload = envelope(
         "holdout",
         {"train": train, "validation": validation},
-        {"input_digest": sha256_path(args.infile)},
+        {"input_digest": source.digest},
         {"size": args.size, "fraction": args.fraction, "seed": args.seed},
     )
     _emit(payload, args.out, f" ({len(train)} train, {len(validation)} validation)")

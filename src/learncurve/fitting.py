@@ -40,6 +40,9 @@ GN_MAX_ITER = 200
 GN_REL_TOL = 1e-10
 GN_MAX_HALVINGS = 30
 
+# bootstrap_ci refits its draws in blocks of about this many resampled values.
+BLOCK_VALUES = 8192
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -134,14 +137,15 @@ def _xy(pts: list[Measurement], on_means: bool) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares line y = intercept + slope*x; returns slope, intercept, rss, ss_tot."""
-    xm, ym = x.mean(), y.mean()
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares lines y = intercept + slope*x along the last axis of ``y``.
+
+    Returns slope and intercept, one entry per line (0-d for one line).
+    """
+    xm, ym = x.mean(axis=-1, keepdims=True), y.mean(axis=-1, keepdims=True)
     xc = x - xm
-    slope = float((xc * (y - ym)).sum() / (xc * xc).sum())
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
-    return slope, intercept, float(resid @ resid), float(((y - ym) ** 2).sum())
+    slope = (xc * (y - ym)).sum(axis=-1) / (xc * xc).sum(axis=-1)
+    return slope, ym[..., 0] - slope * xm[..., 0]
 
 
 def _r_squared(rss: float, ss_tot: float) -> float | None:
@@ -171,7 +175,10 @@ def fit_loglog(
                 "is not positive; logarithm undefined"
             )
     n_arr, y_arr = _xy(pts, on_means)
-    alpha, log_c, rss, ss_tot = _ols(np.log(n_arr), np.log(y_arr))
+    log_n, log_y = np.log(n_arr), np.log(y_arr)
+    alpha, log_c = map(float, _ols(log_n, log_y))
+    resid = log_y - (log_c + alpha * log_n)
+    rss = float(resid @ resid)
     used = [p.n for p in pts]
     return PowerLawFit(
         alpha=alpha,
@@ -179,54 +186,89 @@ def fit_loglog(
         method=LOGLOG,
         n_range=(min(used), max(used)),
         rss=rss,
-        r_squared=_r_squared(rss, ss_tot),
+        r_squared=_r_squared(rss, float(((log_y - log_y.mean()) ** 2).sum())),
     )
+
+
+def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.solve`` on each stacked system; singular ones give NaN and False.
+
+    LAPACK solves each system on its own, so a row's result does not depend
+    on its neighbours; a stack holding a singular system is split in halves
+    until that system stands alone.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs)[..., 0], np.ones(len(lhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(lhs) == 1:
+            return np.full((1, lhs.shape[-1]), np.nan), np.zeros(1, dtype=bool)
+        half = len(lhs) // 2
+        head, tail = _solve_rows(lhs[:half], rhs[:half]), _solve_rows(lhs[half:], rhs[half:])
+        return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
 
 
 def _gauss_newton(
     n: np.ndarray, y: np.ndarray, c0: float, a0: float
-) -> tuple[float, float, float, int, bool]:
-    """Damped Gauss-Newton for min sum (y - c*n**a)**2.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton for min sum (y - c*n**a)**2, one problem per row of ``y``.
 
-    Full step first, then step halving (factor 0.5, at most
-    ``GN_MAX_HALVINGS`` halvings) until the residual sum of squares
-    decreases; candidates with c <= 0 are rejected the same way.  If no
-    improving step exists the iterate is stationary and we declare
-    convergence; otherwise convergence means a relative rss decrease
-    below ``GN_REL_TOL``.  Returns (c, alpha, rss, iterations, converged).
+    Every row shares the sample counts ``n`` and the start (c0, a0).  Full
+    step first, then step halving (factor 0.5, at most ``GN_MAX_HALVINGS``
+    halvings) until the residual sum of squares decreases; candidates with
+    c <= 0 are rejected the same way.  If no improving step exists the
+    iterate is stationary and the row has converged; otherwise convergence
+    means a relative rss decrease below ``GN_REL_TOL``.  A row whose normal
+    matrix is singular stops unconverged.  Rows that stop leave the working
+    set, and every row goes through the same floating-point operations as a
+    solve of that row alone.  Returns arrays (c, alpha, rss, iterations,
+    converged) with one entry per row.
     """
     ln_n = np.log(n)
-    c, a = float(c0), float(a0)
-    f = c * n**a
-    rss = float(((y - f) ** 2).sum())
+    c = np.full(len(y), c0, dtype=float)
+    a = np.full(len(y), a0, dtype=float)
+    rss = ((y - c[:, None] * n ** a[:, None]) ** 2).sum(axis=1)
+    iterations = np.full(len(y), GN_MAX_ITER)
+    converged = np.zeros(len(y), dtype=bool)
+    # The rows still iterating, and their data and iterates.
+    live, y_l, c_l, a_l, rss_l = np.arange(len(y)), y, c, a, rss
     for iteration in range(1, GN_MAX_ITER + 1):
-        pow_na = n**a
-        f = c * pow_na
-        r = y - f
-        jac = np.column_stack((pow_na, f * ln_n))  # d/dc, d/dalpha
-        try:
-            delta = np.linalg.solve(jac.T @ jac, jac.T @ r)
-        except np.linalg.LinAlgError:
-            return c, a, rss, iteration, False
+        pow_na = n ** a_l[:, None]
+        f = c_l[:, None] * pow_na
+        jac = np.stack((pow_na, f * ln_n), axis=-1)  # d/dc, d/dalpha
+        jac_t = jac.transpose(0, 2, 1)
+        delta, solved = _solve_rows(jac_t @ jac, jac_t @ (y_l - f)[:, :, None])
+
+        new_c, new_a, new_rss = c_l, a_l, rss_l
+        search = solved
         step = 1.0
-        cand = None
         for _ in range(GN_MAX_HALVINGS + 1):
-            cc = float(c + step * delta[0])
-            aa = float(a + step * delta[1])
-            if cc > 0.0:
-                rr = float(((y - cc * n**aa) ** 2).sum())
-                if rr < rss:
-                    cand = (cc, aa, rr)
-                    break
+            cc = c_l + step * delta[:, 0]
+            aa = a_l + step * delta[:, 1]
+            trial = search & (cc > 0.0)
+            rr = np.full(len(live), np.inf)
+            rr[trial] = ((y_l[trial] - cc[trial, None] * n ** aa[trial, None]) ** 2).sum(axis=1)
+            better = rr < rss_l
+            new_c, new_a = np.where(better, cc, new_c), np.where(better, aa, new_a)
+            new_rss = np.where(better, rr, new_rss)
+            search = search & ~better
+            if not search.any():
+                break
             step *= 0.5
-        if cand is None:
-            # No descent step exists: stationary point, zero rss change.
-            return c, a, rss, iteration, True
-        rel_drop = (rss - cand[2]) / rss if rss > 0 else 0.0
-        c, a, rss = cand
-        if rel_drop < GN_REL_TOL:
-            return c, a, rss, iteration, True
-    return c, a, rss, GN_MAX_ITER, False
+
+        # A row without a descent step is stationary: its rss change is zero.
+        drop = np.divide(rss_l - new_rss, rss_l, out=np.zeros(len(live)), where=new_rss < rss_l)
+        stop = drop < GN_REL_TOL
+        if stop.any():
+            done, keep = live[stop], ~stop
+            c[done], a[done], rss[done] = new_c[stop], new_a[stop], new_rss[stop]
+            converged[done] = solved[stop]
+            iterations[done] = iteration
+            live, y_l, new_c, new_a, new_rss = (v[keep] for v in (live, y_l, new_c, new_a, new_rss))
+        c_l, a_l, rss_l = new_c, new_a, new_rss
+        if len(live) == 0:
+            break
+    c[live], a[live], rss[live] = c_l, a_l, rss_l
+    return c, a, rss, iterations, converged
 
 
 def fit_nonlinear(
@@ -259,10 +301,12 @@ def fit_nonlinear(
                 "with positive values; pass init explicitly"
             )
         pn, py = _xy(pos, on_means)
-        a0, log_c0, _, _ = _ols(np.log(pn), np.log(py))
+        a0, log_c0 = _ols(np.log(pn), np.log(py))
         c0 = math.exp(log_c0)
 
-    c, a, rss, iterations, converged = _gauss_newton(n_arr, y_arr, c0, a0)
+    c, a, rss, iterations, converged = (
+        v[0].item() for v in _gauss_newton(n_arr, y_arr[None, :], c0, a0)
+    )
     ss_tot = float(((y_arr - y_arr.mean()) ** 2).sum())
     fit = PowerLawFit(
         alpha=a,
@@ -335,7 +379,7 @@ def detect_power_law_region(
 
     n_end = None
     tail = grid[-3:]
-    tail_slope, _, _, _ = _ols(
+    tail_slope, _ = _ols(
         np.log(np.asarray(tail, dtype=float)),
         np.log(np.asarray([mean_at[n] for n in tail], dtype=float)),
     )
@@ -388,41 +432,38 @@ def bootstrap_ci(
                 "(residual bootstrap is not supported)"
             )
     ns = np.asarray(sorted(groups), dtype=float)
-    log_ns = np.log(ns)
-    values = [np.asarray(groups[int(n)], dtype=float) for n in ns]
-    counts = np.asarray([v.size for v in values])
+    values = np.concatenate([groups[int(n)] for n in ns])
+    counts = np.asarray([len(groups[int(n)]) for n in ns])
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = int(counts.sum())
+    # Uniform j of a draw picks one of the values in the group of value j.
+    group_start = np.repeat(offsets[:-1], counts)
+    group_size = np.repeat(counts, counts)
+    x = ns if on_means else np.repeat(ns, counts)
+    log_x = np.log(x)
 
     alphas = []
     failures = 0
-    for i in range(draws):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        u = rng.random(total)
-        resampled = [
-            vals[(u[offsets[g] : offsets[g + 1]] * vals.size).astype(np.intp)]
-            for g, vals in enumerate(values)
-        ]
+    rows = max(1, BLOCK_VALUES // len(values))
+    u = np.empty((rows, len(values)))
+    for first in range(0, draws, rows):
+        block = u[: min(rows, draws - first)]
+        for i, row in enumerate(block, start=first):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            rng.random(out=row)
+        y = values[group_start + (block * group_size).astype(np.intp)]
         if on_means:
-            x = ns
-            y = np.asarray([grp.mean() for grp in resampled])
-        else:
-            x = np.repeat(ns, counts)
-            y = np.concatenate(resampled)
+            y = np.stack([y[:, lo:hi].mean(axis=1) for lo, hi in zip(offsets, offsets[1:])], axis=1)
         if method == LOGLOG:
-            a, _, _, _ = _ols(log_ns if on_means else np.log(x), np.log(y))
-            alphas.append(a)
+            alphas.append(_ols(log_x, np.log(y))[0])
         else:
             _, a, _, _, converged = _gauss_newton(x, y, base.c, base.alpha)
-            if converged:
-                alphas.append(a)
-            else:
-                failures += 1
+            alphas.append(a[converged])
+            failures += int((~converged).sum())
     if failures > draws // 2:
         raise NonConvergenceError(
             f"bootstrap refit failed on {failures} of {draws} draws", last_fit=base
         )
 
     lo_q = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(np.asarray(alphas), [lo_q, 1.0 - lo_q])
+    lo, hi = np.quantile(np.concatenate(alphas), [lo_q, 1.0 - lo_q])
     return dataclasses.replace(base, ci_alpha=(float(lo), float(hi)))

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import collections
 import contextlib
 import io
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,11 @@ class TestPipelines:
         assert pair["kind"] == "fit_pair"
         a, b = pair["loglog"]["alpha"], pair["nonlinear"]["alpha"]
         assert pair["discrepancy"]["alpha"] == pytest.approx(abs(a - b) / abs(a), rel=1e-12)
+        # The pair carries the same envelope as the fits inside it.
+        assert pair["schema_version"] == 1 and pair["tool_version"] and pair["created_at"]
+        assert pair["input_digest"] == pair["loglog"]["input_digest"] == artifacts.sha256_path(noisy)
+        assert pair["params"] == pair["nonlinear"]["params"]
+        assert pair["params"]["method"] == "both"
 
     def test_region_command(self, tmp_path, capsys, clean_csv):
         out = tmp_path / "region.json"
@@ -240,6 +247,52 @@ class TestManifestCommands:
         for name in ("noisy.json", "split.json"):
             first, second = (dict(o[name], created_at=None) for o in outputs)
             assert first == second, name
+
+
+def test_each_input_is_read_once_and_digested_as_parsed(tmp_path, capsys, monkeypatch):
+    d = tmp_path
+    (d / "images.csv").write_text("image_id,class,capture_group\n" + "".join(f"i{i},c{i % 2},g{i % 3}\n" for i in range(12)))
+    for argv in (
+        synth_args(d / "d.csv", sigma="0.05"),
+        ["fit", "--input", str(d / "d.csv"), "--metric", "top1_error", "--method", "loglog", "--out", str(d / "fit.json")],
+        ["manifest", "build", "--images", str(d / "images.csv"), "--sizes", "2,4", "--seed", "1", "--out", str(d / "m.json")],
+    ):
+        assert main(argv) == 0
+    # The command, and where its output records the digest of each input.
+    commands = [
+        (["fit", "--input", str(d / "d.csv"), "--metric", "top1_error", "--out", str(d / "pair.json")],
+         "pair.json", {"input_digest": "d.csv"}),
+        (["region", "--input", str(d / "d.csv"), "--metric", "top1_error", "--r2", "0.5", "--out", str(d / "region.json")],
+         "region.json", {"input_digest": "d.csv"}),
+        (["noise-impact", "--clean", str(d / "fit.json"), "--noisy", str(d / "fit2.json"),
+          "--targets", "0.1", "--out", str(d / "impact.json")],
+         "impact.json", {"clean_digest": "fit.json", "noisy_digest": "fit2.json"}),
+        (["manifest", "build", "--images", str(d / "images.csv"), "--sizes", "2,4", "--seed", "1", "--out", str(d / "m2.json")],
+         "m2.json", {"input_digest": "images.csv"}),
+        (["manifest", "noise", "--in", str(d / "m.json"), "--p", "0.3", "--seed", "2", "--out", str(d / "noisy.json")],
+         "noisy.json", {"input_digest": "m.json"}),
+        (["manifest", "holdout", "--in", str(d / "m.json"), "--size", "4", "--seed", "3", "--out", str(d / "split.json")],
+         "split.json", {"input_digest": "m.json"}),
+    ]
+    # A second fit, one steeper than the first.
+    (d / "fit2.json").write_bytes((d / "fit.json").read_bytes().replace(b'"alpha": -', b'"alpha": -1'))
+    reads = collections.Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    for argv, output, digests in commands:
+        reads.clear()
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        assert main(argv) == 0, argv
+        monkeypatch.undo()
+        assert reads == {name: 1 for name in digests.values()}, argv
+        doc = json.loads((d / output).read_text())
+        for key, name in digests.items():
+            assert doc[key] == artifacts.sha256_path(d / name), (argv, key)
+    capsys.readouterr()
 
 
 class TestFailureModes:

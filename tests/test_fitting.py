@@ -2,19 +2,24 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from learncurve import (
     InsufficientDataError,
     LogDomainError,
     MeasurementSet,
+    NonConvergenceError,
     NoRegionError,
     ParameterError,
     PowerLawFit,
     RegionSegmentation,
     ThreePhaseModel,
+    ToolkitError,
     aggregate,
     bootstrap_ci,
     detect_power_law_region,
@@ -23,6 +28,7 @@ from learncurve import (
     fit_nonlinear,
     synth_curve,
 )
+from learncurve import fitting
 
 SIZES = [900, 1800, 3600, 9000, 22500, 45000, 90000]
 
@@ -351,3 +357,208 @@ class TestBootstrap:
         args.update(kwargs)
         with pytest.raises(ParameterError):
             bootstrap_ci(ms, args.pop("method"), **args)
+
+
+# ---------------------------------------------------------------------------
+# The batched bootstrap against the per-draw refits it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_gauss_newton(n, y, c0, a0):
+    """Gauss-Newton on one problem, as fit_nonlinear and every bootstrap draw
+    ran it before refits were batched; the batched solver must match it bit
+    for bit."""
+    ln_n = np.log(n)
+    c, a = float(c0), float(a0)
+    f = c * n**a
+    rss = float(((y - f) ** 2).sum())
+    for iteration in range(1, fitting.GN_MAX_ITER + 1):
+        pow_na = n**a
+        f = c * pow_na
+        r = y - f
+        jac = np.column_stack((pow_na, f * ln_n))
+        try:
+            delta = np.linalg.solve(jac.T @ jac, jac.T @ r)
+        except np.linalg.LinAlgError:
+            return c, a, rss, iteration, False
+        step = 1.0
+        cand = None
+        for _ in range(fitting.GN_MAX_HALVINGS + 1):
+            cc = float(c + step * delta[0])
+            aa = float(a + step * delta[1])
+            if cc > 0.0:
+                rr = float(((y - cc * n**aa) ** 2).sum())
+                if rr < rss:
+                    cand = (cc, aa, rr)
+                    break
+            step *= 0.5
+        if cand is None:
+            return c, a, rss, iteration, True
+        rel_drop = (rss - cand[2]) / rss if rss > 0 else 0.0
+        c, a, rss = cand
+        if rel_drop < fitting.GN_REL_TOL:
+            return c, a, rss, iteration, True
+    return c, a, rss, fitting.GN_MAX_ITER, False
+
+
+def reference_ci_alpha(ms, method, draws, confidence, seed, on_means):
+    """bootstrap_ci's interval from one refit per draw, the loop it replaced."""
+    base = (fit_loglog if method == "loglog" else fit_nonlinear)(ms, on_means=on_means)
+    groups = {}
+    for p in sorted(ms, key=lambda p: (p.n, p.replicate)):
+        groups.setdefault(p.n, []).append(p.value)
+    ns = np.asarray(sorted(groups), dtype=float)
+    values = [np.asarray(groups[int(n)], dtype=float) for n in ns]
+    counts = np.asarray([v.size for v in values])
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    alphas, failures = [], 0
+    for i in range(draws):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        u = rng.random(int(counts.sum()))
+        resampled = [
+            vals[(u[offsets[g] : offsets[g + 1]] * vals.size).astype(np.intp)]
+            for g, vals in enumerate(values)
+        ]
+        if on_means:
+            x, y = ns, np.asarray([grp.mean() for grp in resampled])
+        else:
+            x, y = np.repeat(ns, counts), np.concatenate(resampled)
+        if method == "loglog":
+            lx, ly = np.log(x), np.log(y)
+            xc = lx - lx.mean()
+            alphas.append(float((xc * (ly - ly.mean())).sum() / (xc * xc).sum()))
+        else:
+            _, a, _, _, converged = reference_gauss_newton(x, y, base.c, base.alpha)
+            if converged:
+                alphas.append(a)
+            else:
+                failures += 1
+    if failures > draws // 2:
+        raise NonConvergenceError("too many failed draws")
+    lo_q = (1.0 - confidence) / 2.0
+    lo, hi = np.quantile(np.asarray(alphas), [lo_q, 1.0 - lo_q])
+    return float(lo), float(hi)
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except ToolkitError as exc:
+        return type(exc)
+
+
+@st.composite
+def curves(draw, max_replicates=6):
+    """A noisy power law on 3-6 sizes with 2 or more replicates per size."""
+    sizes = sorted(draw(st.lists(st.integers(1, 10**6), min_size=3, max_size=6, unique=True)))
+    replicates = draw(st.lists(st.integers(2, max_replicates), min_size=len(sizes), max_size=len(sizes)))
+    alpha = draw(st.floats(-0.95, -0.05))
+    c = draw(st.floats(0.1, 100.0))
+    sigma = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        ("m", n, r, max(c * n**alpha * (1.0 + sigma * rng.standard_normal()), 1e-6))
+        for n, count in zip(sizes, replicates)
+        for r in range(count)
+    ]
+    return MeasurementSet.from_rows(rows)
+
+
+class TestBatchedBootstrap:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        ms=curves(),
+        method=st.sampled_from(["loglog", "nonlinear"]),
+        on_means=st.booleans(),
+        draws=st.integers(1, 150),
+        seed=st.integers(0, 2**63),
+        confidence=st.sampled_from([0.5, 0.9, 0.95]),
+        block=st.sampled_from([1, 10, 64, fitting.BLOCK_VALUES]),
+    )
+    def test_interval_equals_per_draw_refits_exactly(self, ms, method, on_means, draws, seed, confidence, block):
+        # Small blocks split the draws into several blocks and a ragged last one.
+        with mock.patch.object(fitting, "BLOCK_VALUES", block):
+            got = outcome(lambda: bootstrap_ci(
+                ms, method, draws=draws, confidence=confidence, seed=seed, on_means=on_means
+            ).ci_alpha)
+        assert got == outcome(lambda: reference_ci_alpha(ms, method, draws, confidence, seed, on_means))
+
+    @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
+    @pytest.mark.parametrize("on_means", [True, False])
+    def test_set_larger_than_a_block_refits_one_draw_at_a_time(self, method, on_means):
+        model = ThreePhaseModel(alpha=-0.4, c=3.0, plateau=50.0, floor=0.0)
+        sizes = sorted({int(n) for n in np.geomspace(50, 400_000, 60)})
+        ms = synth_curve(model, sizes, 140, 0.05, seed=4, metric="m")
+        assert len(ms) > fitting.BLOCK_VALUES
+        got = bootstrap_ci(ms, method, draws=3, seed=8, on_means=on_means).ci_alpha
+        assert got == reference_ci_alpha(ms, method, 3, 0.95, 8, on_means)
+
+    def test_paper_scale_interval_unchanged(self):
+        # 1000 draws of 35 values: four full blocks and a ragged fifth.
+        ms = synth_curve(TestBootstrap.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        assert 1000 % (fitting.BLOCK_VALUES // len(ms)) != 0
+        for method in ("loglog", "nonlinear"):
+            got = bootstrap_ci(ms, method, seed=10).ci_alpha
+            assert got == reference_ci_alpha(ms, method, 1000, 0.95, 10, True)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # far-off starts overshoot
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ms=curves(), c0=st.floats(0.01, 100.0), a0=st.floats(-3.0, 1.0))
+    def test_fit_nonlinear_takes_the_same_steps(self, ms, c0, a0):
+        n = np.asarray([p.n for p in ms], dtype=float)
+        y = np.asarray([p.value for p in ms])
+        c, a, rss, iterations, converged = reference_gauss_newton(n, y, c0, a0)
+        try:
+            fit = fit_nonlinear(ms, on_means=False, init=make_fit(a0, c0))
+        except NonConvergenceError as exc:
+            assert not converged
+            fit = exc.last_fit
+        else:
+            assert converged
+        assert (fit.c, fit.alpha, fit.rss, fit.iterations) == (c, a, rss, iterations)
+
+    def test_singular_normal_matrix_stops_those_rows_unconverged(self):
+        # n**-400 underflows to 0, so the Jacobian and its normal matrix vanish.
+        n = np.array([10.0, 100.0, 1000.0])
+        y = np.array([[1.0, 0.5, 0.25], [2.0, 1.0, 0.5]])
+        c, a, rss, iterations, converged = fitting._gauss_newton(n, y, 1.0, -400.0)
+        assert not converged.any()
+        assert iterations.tolist() == [1, 1]
+        assert c.tolist() == [1.0, 1.0] and a.tolist() == [-400.0, -400.0]
+        assert rss.tolist() == [(y[0] ** 2).sum(), (y[1] ** 2).sum()]
+
+    def test_a_singular_system_fails_only_its_own_row(self):
+        lhs = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 0.0], [0.0, 5.0]]])
+        rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]], [[8.0], [10.0]]])
+        delta, solved = fitting._solve_rows(lhs, rhs)
+        assert solved.tolist() == [True, False, True]
+        assert np.isnan(delta[1]).all()
+        for k in (0, 2):
+            assert delta[k].tolist() == np.linalg.solve(lhs[k], rhs[k, :, 0]).tolist()
+
+
+class TestNonlinearOracle:
+    """fit_nonlinear against an independent least-squares solver."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sigma", [0.02, 0.1])
+    @pytest.mark.parametrize("on_means", [True, False])
+    def test_agrees_with_scipy_curve_fit(self, seed, sigma, on_means):
+        optimize = pytest.importorskip("scipy.optimize")
+        model = ThreePhaseModel(alpha=-0.3 - 0.1 * seed, c=5.0, plateau=1e6, floor=0.0)
+        ms = synth_curve(model, SIZES, 5, sigma, seed=100 + seed, metric="m")
+        if on_means:
+            rows = aggregate(ms)
+            n, y = np.asarray([r.n for r in rows], dtype=float), np.asarray([r.mean for r in rows])
+        else:
+            n, y = np.asarray([p.n for p in ms], dtype=float), np.asarray([p.value for p in ms])
+        start = fit_loglog(ms, on_means=on_means)
+        (c, alpha), _ = optimize.curve_fit(
+            lambda x, c, a: c * x**a, n, y, p0=(start.c, start.alpha),
+            xtol=1e-15, ftol=1e-15, gtol=1e-15, maxfev=100_000,
+        )
+        rss = float(((y - c * n**alpha) ** 2).sum())
+        fit = fit_nonlinear(ms, on_means=on_means)
+        assert fit.alpha == pytest.approx(alpha, rel=1e-6)
+        assert fit.c == pytest.approx(c, rel=1e-6)
+        assert fit.rss <= rss * (1.0 + 1e-9)
