@@ -203,36 +203,27 @@ def _csv_rows(path: str | Path, header: str) -> Iterator[tuple[int, list[str]]]:
 def read_measurements(path: str | Path) -> MeasurementSet:
     """Parse a measurement CSV with line-precise diagnostics.
 
-    The header must be exactly ``metric,n,replicate,value``; rows with
-    extra columns, malformed numbers, or duplicate (metric, n, replicate)
-    keys are rejected with their line number.  Blank lines are ignored.
+    The header must be exactly ``metric,n,replicate,value``; a row with the
+    wrong column count, a malformed number or a broken MeasurementSet rule
+    is rejected with its line number.  Blank lines are ignored.
     """
     points: list[Measurement] = []
-    seen: set[tuple[str, int, int]] = set()
+    linenos: list[int] = []
     for lineno, (metric, n_s, r_s, v_s) in _csv_rows(path, MEASUREMENT_HEADER):
-        if not metric:
-            raise DataError(f"{path}:{lineno}: empty metric name")
         try:
-            n = int(n_s)
-            r = int(r_s)
+            n, r = int(n_s), int(r_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: n and replicate must be integers") from None
         try:
             v = float(v_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: value {v_s!r} is not a number") from None
-        if n < 1:
-            raise DataError(f"{path}:{lineno}: n must be >= 1, got {n}")
-        if r < 0:
-            raise DataError(f"{path}:{lineno}: replicate must be >= 0, got {r}")
-        if v < 0:
-            raise DataError(f"{path}:{lineno}: value must be >= 0, got {v}")
-        key = (metric, n, r)
-        if key in seen:
-            raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
-        seen.add(key)
         points.append(Measurement(metric, n, r, v))
-    return MeasurementSet(tuple(points))
+        linenos.append(lineno)
+    try:
+        return MeasurementSet(tuple(points))
+    except ToolkitError as exc:
+        raise DataError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 def measurements_to_csv(ms: MeasurementSet) -> str:

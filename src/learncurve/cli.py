@@ -5,7 +5,8 @@ a known curve, ``fit`` / ``region`` produce JSON artifacts, ``extrapolate``
 / ``needed`` / ``intersect`` / ``noise-impact`` answer planning questions,
 ``manifest`` builds and manipulates nested-subset experiment manifests, and
 ``report`` renders the SVG plot.  Exit codes: 0 success, 2 usage error,
-3 data-contract error, 4 numeric failure (non-convergence, no region).
+3 data-contract error, 4 numeric failure (non-convergence, no region,
+floating-point overflow).
 """
 
 from __future__ import annotations
@@ -331,9 +332,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ToolkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC if isinstance(exc, (NonConvergenceError, NoRegionError)) else EXIT_DATA
+    except (ToolkitError, OSError, OverflowError) as exc:
+        overflow = isinstance(exc, OverflowError)
+        print(f"error: {'floating-point overflow: ' if overflow else ''}{exc}", file=sys.stderr)
+        return EXIT_NUMERIC if overflow or isinstance(exc, (NonConvergenceError, NoRegionError)) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .errors import (
     NoRegionError,
     ParameterError,
 )
-from .model import Measurement, MeasurementSet, aggregate
+from .model import Measurement, MeasurementSet, aggregate, group_by_n
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
@@ -126,10 +126,10 @@ def _select(ms: MeasurementSet, n_min, n_max) -> list[Measurement]:
 
 def _xy(pts: list[Measurement], on_means: bool) -> tuple[np.ndarray, np.ndarray]:
     if on_means:
-        rows = aggregate(MeasurementSet(tuple(pts)))
+        groups = group_by_n(pts)
         return (
-            np.asarray([r.n for r in rows], dtype=float),
-            np.asarray([r.mean for r in rows], dtype=float),
+            np.asarray([n for n, _ in groups], dtype=float),
+            np.asarray([vals.mean() for _, vals in groups], dtype=float),
         )
     return (
         np.asarray([p.n for p in pts], dtype=float),
@@ -154,6 +154,23 @@ def _r_squared(rss: float, ss_tot: float) -> float | None:
     return min(max(1.0 - rss / ss_tot, 0.0), 1.0)
 
 
+def _require_positive(pts) -> None:
+    for p in pts:
+        if p.value <= 0.0:
+            raise LogDomainError(
+                f"value {p.value!r} at (metric={p.metric!r}, n={p.n}, replicate={p.replicate}) "
+                "is not positive; logarithm undefined"
+            )
+
+
+def _loglog_line(log_n: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float, float | None]:
+    """Slope, intercept, rss and r-squared of the least-squares line through (log_n, log_y)."""
+    alpha, log_c = map(float, _ols(log_n, log_y))
+    resid = log_y - (log_c + alpha * log_n)
+    rss = float(resid @ resid)
+    return alpha, log_c, rss, _r_squared(rss, float(((log_y - log_y.mean()) ** 2).sum()))
+
+
 def fit_loglog(
     ms: MeasurementSet,
     n_min: int | None = None,
@@ -168,17 +185,9 @@ def fit_loglog(
     is its own point.  All values in the window must be strictly positive.
     """
     pts = _select(ms, n_min, n_max)
-    for p in pts:
-        if p.value <= 0.0:
-            raise LogDomainError(
-                f"value {p.value!r} at (metric={p.metric!r}, n={p.n}, replicate={p.replicate}) "
-                "is not positive; logarithm undefined"
-            )
+    _require_positive(pts)
     n_arr, y_arr = _xy(pts, on_means)
-    log_n, log_y = np.log(n_arr), np.log(y_arr)
-    alpha, log_c = map(float, _ols(log_n, log_y))
-    resid = log_y - (log_c + alpha * log_n)
-    rss = float(resid @ resid)
+    alpha, log_c, rss, r_squared = _loglog_line(np.log(n_arr), np.log(y_arr))
     used = [p.n for p in pts]
     return PowerLawFit(
         alpha=alpha,
@@ -186,7 +195,7 @@ def fit_loglog(
         method=LOGLOG,
         n_range=(min(used), max(used)),
         rss=rss,
-        r_squared=_r_squared(rss, float(((log_y - log_y.mean()) ** 2).sum())),
+        r_squared=r_squared,
     )
 
 
@@ -300,7 +309,7 @@ def fit_nonlinear(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
             )
-        pn, py = _xy(pos, on_means)
+        pn, py = (n_arr, y_arr) if len(pos) == len(pts) else _xy(pos, on_means)
         a0, log_c0 = _ols(np.log(pn), np.log(py))
         c0 = math.exp(log_c0)
 
@@ -358,33 +367,28 @@ def detect_power_law_region(
     grid = ms.distinct_n()
     if len(grid) < 4:
         raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")
-    mean_at = {row.n: row.mean for row in aggregate(ms)}
+    means = [row.mean for row in aggregate(ms)]
+    _require_positive(ms)
+    log_n, log_mean = np.log(np.asarray(grid, dtype=float)), np.log(np.asarray(means))
 
     diagnostics: dict[int, float | None] = {}
     start = None
-    start_fit = None
-    for n0 in grid[:-1]:  # the last point alone cannot anchor a fit
-        fit = fit_loglog(ms, n_min=n0, n_max=grid[-1], on_means=True)
-        diagnostics[n0] = fit.r_squared
-        ok = fit.r_squared is not None and fit.r_squared >= r2_threshold
+    for k, n0 in enumerate(grid[:-1]):  # the last point alone cannot anchor a fit
+        alpha, _, _, r_squared = _loglog_line(log_n[k:], log_mean[k:])
+        diagnostics[n0] = r_squared
+        ok = r_squared is not None and r_squared >= r2_threshold
         if ok and plateau is not None:
-            ok = mean_at[n0] < 0.95 * plateau
+            ok = means[k] < 0.95 * plateau
         if ok and start is None:
-            start, start_fit = n0, fit
+            start, start_alpha = n0, alpha
     if start is None:
         raise NoRegionError(
             f"no suffix of the grid reaches r_squared >= {r2_threshold}",
             diagnostics=diagnostics,
         )
 
-    n_end = None
-    tail = grid[-3:]
-    tail_slope, _ = _ols(
-        np.log(np.asarray(tail, dtype=float)),
-        np.log(np.asarray([mean_at[n] for n in tail], dtype=float)),
-    )
-    if tail_slope > start_fit.alpha / 4.0 and tail[0] >= start:
-        n_end = tail[0]
+    tail_slope, _ = _ols(log_n[-3:], log_mean[-3:])
+    n_end = grid[-3] if tail_slope > start_alpha / 4.0 and grid[-3] >= start else None
     return RegionSegmentation(start, n_end, diagnostics)
 
 
@@ -421,19 +425,16 @@ def bootstrap_ci(
     else:
         base = fit_nonlinear(ms, n_min, n_max, on_means=on_means)
 
-    pts = sorted(_select(ms, n_min, n_max), key=lambda p: (p.n, p.replicate))
-    groups: dict[int, list[float]] = {}
-    for p in pts:
-        groups.setdefault(p.n, []).append(p.value)
-    for n, vals in groups.items():
-        if len(vals) < 2:
+    groups = group_by_n(sorted(_select(ms, n_min, n_max), key=lambda p: p.replicate))
+    for n, vals in groups:
+        if vals.size < 2:
             raise InsufficientDataError(
                 f"only one replicate at N={n}: case resampling needs at least 2 "
                 "(residual bootstrap is not supported)"
             )
-    ns = np.asarray(sorted(groups), dtype=float)
-    values = np.concatenate([groups[int(n)] for n in ns])
-    counts = np.asarray([len(groups[int(n)]) for n in ns])
+    ns = np.asarray([n for n, _ in groups], dtype=float)
+    values = np.concatenate([vals for _, vals in groups])
+    counts = np.asarray([vals.size for _, vals in groups])
     offsets = np.concatenate(([0], np.cumsum(counts)))
     # Uniform j of a draw picks one of the values in the group of value j.
     group_start = np.repeat(offsets[:-1], counts)

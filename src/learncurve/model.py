@@ -112,24 +112,25 @@ class MeasurementSet:
     points: tuple[Measurement, ...]
 
     def __post_init__(self):
-        seen = set()
-        for p in self.points:
-            if not isinstance(p.n, int) or p.n < 1:
-                raise ParameterError(
-                    f"sample count must be a positive int, got {p.n!r} (from_rows coerces)"
-                )
-            if not isinstance(p.replicate, int) or p.replicate < 0:
-                raise ParameterError(
-                    f"replicate id must be a non-negative int, got {p.replicate!r} (from_rows coerces)"
-                )
-            if not (isinstance(p.value, float) and math.isfinite(p.value) and p.value >= 0.0):
-                raise ParameterError(f"value must be a finite non-negative float, got {p.value!r}")
-            if not p.metric:
-                raise ParameterError("metric name must be non-empty")
+        """The measurement rules; a violation's ``index`` is the offending point's position."""
+        seen: set[tuple[str, int, int]] = set()
+        for index, p in enumerate(self.points):
             key = (p.metric, p.n, p.replicate)
-            if key in seen:
-                raise DataError(f"duplicate observation for {key}")
-            seen.add(key)
+            if not isinstance(p.n, int) or p.n < 1:
+                error = ParameterError(f"sample count must be a positive int, got {p.n!r}")
+            elif not isinstance(p.replicate, int) or p.replicate < 0:
+                error = ParameterError(f"replicate id must be a non-negative int, got {p.replicate!r}")
+            elif not (isinstance(p.value, float) and math.isfinite(p.value) and p.value >= 0.0):
+                error = ParameterError(f"value must be a finite non-negative float, got {p.value!r}")
+            elif not p.metric:
+                error = ParameterError("metric name must be non-empty")
+            elif key in seen:
+                error = DataError(f"duplicate observation for {key}")
+            else:
+                seen.add(key)
+                continue
+            error.index = index
+            raise error
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, int, int, float]]) -> "MeasurementSet":
@@ -152,6 +153,14 @@ class MeasurementSet:
         return sorted({p.n for p in self.points})
 
 
+def group_by_n(points: Iterable[Measurement]) -> list[tuple[int, np.ndarray]]:
+    """``(n, values)`` per distinct N, ascending N, values in the points' order."""
+    by_n: dict[int, list[float]] = {}
+    for p in points:
+        by_n.setdefault(p.n, []).append(p.value)
+    return [(n, np.asarray(by_n[n], dtype=float)) for n in sorted(by_n)]
+
+
 def aggregate(ms: MeasurementSet) -> list[AggregateRow]:
     """Per-N mean and sample standard deviation (divisor count-1), ascending N.
 
@@ -163,12 +172,8 @@ def aggregate(ms: MeasurementSet) -> list[AggregateRow]:
     metrics = ms.metrics()
     if len(metrics) != 1:
         raise ParameterError(f"aggregate expects a single metric, got {metrics}; use only()")
-    by_n: dict[int, list[float]] = {}
-    for p in ms:
-        by_n.setdefault(p.n, []).append(p.value)
     rows = []
-    for n in sorted(by_n):
-        vals = np.asarray(by_n[n], dtype=float)
+    for n, vals in group_by_n(ms):
         std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         rows.append(AggregateRow(n, float(vals.mean()), std, int(vals.size)))
     return rows

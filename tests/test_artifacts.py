@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -85,6 +86,19 @@ class TestMeasurementCsv:
         path = tmp_path / "m.csv"
         path.write_text("metric,n,replicate,value\na,900,0,0.1\na,900,0,0.2\n")
         with pytest.raises(DataError, match=":3: duplicate"):
+            read_measurements(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text(f"metric,n,replicate,value\na,900,0,0.1\na,901,0,{value}\na,902,0,0.2\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: value must be a finite"):
+            read_measurements(path)
+
+    def test_rule_violation_after_a_blank_line_names_its_own_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("metric,n,replicate,value\na,900,0,0.1\n\na,0,0,0.2\na,902,0,0.3\n")
+        with pytest.raises(DataError, match=r":4: sample count must be a positive int, got 0$"):
             read_measurements(path)
 
     def test_missing_file(self, tmp_path):

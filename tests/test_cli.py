@@ -425,6 +425,20 @@ def _report_with_sidecar_dir(tmp_path):
     return ["report", "--input", str(csv), "--out", str(tmp_path / "plot.svg")]
 
 
+def _overflow_fit(tmp_path, method):
+    """Two sample counts so close that the fitted log c overflows exp()."""
+    csv = _file(tmp_path, "close.csv", b"metric,n,replicate,value\nm,43277,0,1.6825\nm,43277,1,1.6825\n"
+                                       b"m,43285,0,1.6475\nm,43285,1,1.6475\n")
+    return ["fit", "--input", str(csv), "--metric", "m", "--method", method, "--out", str(tmp_path / "o.json")]
+
+
+def _overflow_noise_impact(tmp_path):
+    """Two fits so flat that the sample size for a target loss overflows."""
+    clean = _fit_file(tmp_path, alpha=-1e-5, c=1.0).rename(tmp_path / "clean.json")
+    noisy = _fit_file(tmp_path, alpha=-2e-5, c=1.0)
+    return ["noise-impact", "--clean", str(clean), "--noisy", str(noisy), "--targets", "0.5"]
+
+
 # Each case builds its inputs in tmp_path and returns the failing command line.
 BAD_INPUTS = {
     "fit-without-fields": lambda t: [
@@ -449,6 +463,17 @@ BAD_INPUTS = {
     "sidecar-is-a-directory": _report_with_sidecar_dir,
     # A non-UTF-8 command-line byte arrives as a lone surrogate.
     "metric-not-encodable": lambda t: synth_args(t / "d.csv", metric="m\udcff"),
+    "csv-value-nan": lambda t: [
+        "fit", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,0.5\nm,20,0,nan\n")),
+        "--metric", "m", "--out", str(t / "o.json")],
+    "overflow-fit-loglog": lambda t: _overflow_fit(t, "loglog"),
+    "overflow-fit-nonlinear": lambda t: _overflow_fit(t, "nonlinear"),
+    "overflow-fit-both": lambda t: _overflow_fit(t, "both"),
+    "overflow-extrapolate": lambda t: [
+        "extrapolate", "--fit", str(_fit_file(t, alpha=200.0, c=1.0)), "--n", "1000000"],
+    "overflow-needed": lambda t: [
+        "needed", "--fit", str(_fit_file(t, alpha=-1e-5, c=1.0)), "--target", "0.5"],
+    "overflow-noise-impact": _overflow_noise_impact,
 }
 
 
@@ -461,6 +486,32 @@ class TestBadInputs:
         assert code in (2, 3, 4)
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: ")
+
+    def test_csv_value_nan_names_file_and_line(self, tmp_path, capsys):
+        code, _, err = run(capsys, *BAD_INPUTS["csv-value-nan"](tmp_path))
+        assert code == 3
+        assert f"{tmp_path / 'd.csv'}:3: value must be a finite non-negative float, got nan" in err
+
+    @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if c.startswith("overflow-")))
+    def test_overflow_is_a_numeric_failure(self, tmp_path, capsys, case):
+        argv = BAD_INPUTS[case](tmp_path)
+        capsys.readouterr()
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith("error: floating-point overflow: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.json").exists()
+
+    def test_region_on_close_sample_counts_no_longer_overflows(self, tmp_path, capsys):
+        # The last two sizes alone give a line whose exp(log c) overflows;
+        # region detection needs only its slope and r-squared.
+        csv = _file(tmp_path, "d.csv", b"metric,n,replicate,value\nm,100,0,0.5\nm,200,0,0.4\n"
+                                       b"m,43277,0,1.6825\nm,43285,0,1.6475\n")
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "region", "--input", str(csv), "--metric", "m", "--out", str(out))
+        assert (code, err) == (0, "")
+        region = json.loads(out.read_text())
+        assert (region["n_start_power_law"], region["n_end_power_law"]) == (200, 200)
+        assert [d["candidate_n"] for d in region["diagnostics"]] == [100, 200, 43277]
 
     def test_undecodable_out_path_is_written_and_echoed_escaped(self, tmp_path, capsys):
         # A non-UTF-8 byte in a path arrives as a lone surrogate that stdout cannot encode.

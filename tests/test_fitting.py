@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -562,3 +563,130 @@ class TestNonlinearOracle:
         assert fit.alpha == pytest.approx(alpha, rel=1e-6)
         assert fit.c == pytest.approx(c, rel=1e-6)
         assert fit.rss <= rss * (1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Region detection on its per-N means against one fit_loglog per candidate
+# ---------------------------------------------------------------------------
+
+
+def reference_region(ms, plateau=None, r2_threshold=0.98):
+    """detect_power_law_region as one fit_loglog per candidate suffix, the
+    loop it replaced; the scan on per-N means must match it bit for bit."""
+    grid = ms.distinct_n()
+    if len(grid) < 4:
+        raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")
+    mean_at = {row.n: row.mean for row in aggregate(ms)}
+    diagnostics, start, start_fit = {}, None, None
+    for n0 in grid[:-1]:
+        fit = fit_loglog(ms, n_min=n0, n_max=grid[-1], on_means=True)
+        diagnostics[n0] = fit.r_squared
+        ok = fit.r_squared is not None and fit.r_squared >= r2_threshold
+        if ok and plateau is not None:
+            ok = mean_at[n0] < 0.95 * plateau
+        if ok and start is None:
+            start, start_fit = n0, fit
+    if start is None:
+        raise NoRegionError(f"no suffix of the grid reaches r_squared >= {r2_threshold}", diagnostics)
+    tail = grid[-3:]
+    tail_slope, _ = fitting._ols(
+        np.log(np.asarray(tail, dtype=float)), np.log(np.asarray([mean_at[n] for n in tail]))
+    )
+    n_end = tail[0] if tail_slope > start_fit.alpha / 4.0 and tail[0] >= start else None
+    return RegionSegmentation(start, n_end, diagnostics)
+
+
+def region_outcome(detect, ms, **kwargs):
+    try:
+        seg = detect(ms, **kwargs)
+    except ToolkitError as exc:
+        return type(exc), str(exc), getattr(exc, "diagnostics", None)
+    return seg.n_start_power_law, seg.n_end_power_law, seg.diagnostics
+
+
+@st.composite
+def plateau_curves(draw):
+    """A power law clamped between a plateau and an optional floor on 4-12
+    sizes, 2-20 replicates per size, points in shuffled order; about one
+    set in eight holds a zero."""
+    sizes = [draw(st.integers(1, 200))]
+    for ratio in draw(st.lists(st.floats(1.3, 4.0), min_size=3, max_size=11)):
+        sizes.append(max(sizes[-1] + 1, int(sizes[-1] * ratio)))
+    replicates = draw(st.lists(st.integers(2, 20), min_size=len(sizes), max_size=len(sizes)))
+    alpha = draw(st.floats(-0.95, -0.05))
+    plateau = draw(st.floats(0.1, 2.0))
+    c = plateau * draw(st.sampled_from(sizes)) ** -alpha  # meets the plateau on the grid
+    floor = plateau * draw(st.sampled_from([0.0, 0.02, 0.2]))
+    sigma = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        ("m", n, r, min(max(c * n**alpha, floor), plateau) * math.exp(sigma * rng.standard_normal()))
+        for n, count in zip(sizes, replicates)
+        for r in range(count)
+    ]
+    if draw(st.integers(0, 7)) == 7:
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = (*rows[k][:3], 0.0)
+    order = draw(st.permutations(range(len(rows))))
+    return MeasurementSet.from_rows([rows[k] for k in order]), plateau
+
+
+class TestRegionFromMeans:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        curve=plateau_curves(),
+        guard=st.booleans(),
+        r2_threshold=st.sampled_from([0.5, 0.9, 0.98, 0.999]),
+    )
+    def test_equals_one_fit_loglog_per_candidate(self, curve, guard, r2_threshold):
+        ms, plateau = curve
+        kwargs = dict(plateau=plateau if guard else None, r2_threshold=r2_threshold)
+        assert region_outcome(detect_power_law_region, ms, **kwargs) == region_outcome(
+            reference_region, ms, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [("a", n, 0, 1.0 / n) for n in (10, 20, 30)],
+            [("a", 10, 0, 1.0), ("b", 20, 0, 0.5), ("a", 30, 0, 0.3), ("b", 40, 0, 0.2)],
+            [("a", 10, 0, 1.0), ("b", 20, 0, 0.5), ("a", 30, 0, 0.3)],
+            [("a", 10, 0, 1.0), ("b", 20, 0, 0.0), ("a", 30, 0, 0.3), ("b", 40, 0, 0.2)],
+            [("a", n, 0, 0.0 if n == 30 else 1.0 / n) for n in (10, 20, 30, 40)],
+        ],
+        ids=["empty", "three-sizes", "two-metrics", "two-metrics-three-sizes", "two-metrics-zero", "zero"],
+    )
+    def test_rejects_what_the_per_candidate_loop_rejected(self, rows):
+        ms = MeasurementSet.from_rows(rows)
+        got = region_outcome(detect_power_law_region, ms)
+        assert got == region_outcome(reference_region, ms)
+        assert issubclass(got[0], ToolkitError)
+
+    def test_fitting_builds_no_measurement_set(self, monkeypatch):
+        ms = synth_curve(TestBootstrap.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        built, validate = [], MeasurementSet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(MeasurementSet, "__post_init__", counting)
+        for on_means in (True, False):
+            fit_loglog(ms, on_means=on_means)
+            fit_nonlinear(ms, on_means=on_means)
+            for method in ("loglog", "nonlinear"):
+                bootstrap_ci(ms, method, draws=20, on_means=on_means)
+        detect_power_law_region(ms, plateau=1.0)
+        assert built == []
+
+    def test_thousand_sizes_twenty_replicates_within_five_seconds(self):
+        sizes = np.unique(np.geomspace(100, 10**8, 1000).astype(int)).tolist()
+        assert len(sizes) == 1000
+        model = ThreePhaseModel(alpha=-0.5, c=0.8 * 240**0.5, plateau=0.8, floor=0.0)
+        ms = synth_curve(model, sizes, 20, 0.02, seed=3, metric="m")
+        began = time.perf_counter()
+        seg = detect_power_law_region(ms, plateau=model.plateau)
+        assert time.perf_counter() - began < 5.0
+        assert sorted(seg.diagnostics) == sizes[:-1]
+        assert 240 <= seg.n_start_power_law <= 400

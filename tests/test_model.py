@@ -17,6 +17,7 @@ from learncurve import (
     random_guess_plateau,
     synth_curve,
 )
+from learncurve.model import group_by_n
 
 
 def _random_model(rng):
@@ -127,6 +128,25 @@ class TestMeasurementSet:
     def test_invalid_rows_rejected(self, row):
         with pytest.raises(ParameterError):
             MeasurementSet.from_rows([row])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(("m", 10, 0, math.nan), ParameterError), (("m", 10, 1, math.inf), ParameterError),
+         (("m", 20, 0, 0.5), DataError)],
+    )
+    def test_violation_carries_the_index_of_its_point(self, bad, error):
+        rows = [("m", 10, 0, 1.0), ("m", 20, 0, 0.5), ("m", 30, 0, 0.25), bad]
+        with pytest.raises(error) as info:
+            MeasurementSet.from_rows(rows)
+        assert info.value.index == 3
+
+
+class TestGroupByN:
+    def test_ascending_n_values_in_point_order(self):
+        ms = MeasurementSet.from_rows([("m", 900, 1, 0.2), ("m", 90, 3, 0.8), ("m", 900, 0, 0.3), ("m", 90, 1, 0.7)])
+        groups = group_by_n(ms)
+        assert [n for n, _ in groups] == [90, 900]
+        assert [vals.tolist() for _, vals in groups] == [[0.8, 0.7], [0.2, 0.3]]
 
 
 class TestAggregate:
