@@ -13,6 +13,7 @@ from .errors import (
     LogDomainError,
     NonConvergenceError,
     NoRegionError,
+    NumericError,
     ParallelCurvesError,
     ParameterError,
     ToolkitError,
@@ -73,6 +74,7 @@ __all__ = [
     "NoRegionError",
     "NoiseImpactReport",
     "NonConvergenceError",
+    "NumericError",
     "ParallelCurvesError",
     "ParameterError",
     "PowerLawFit",

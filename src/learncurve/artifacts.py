@@ -19,12 +19,13 @@ import os
 import re
 import stat
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterator
 
 from .errors import DataError, ToolkitError
 from .fitting import PowerLawFit, RegionSegmentation
-from .manifest import ImageRecord, SubsetManifest
+from .manifest import RecordColumns, SubsetManifest
 from .model import Measurement, MeasurementSet
 from .planning import NoiseImpactReport
 
@@ -176,7 +177,7 @@ def load_artifact(path: str | Path, kind: str) -> Any:
         raise DataError(f"{path}: unsupported schema_version {version!r}, this learncurve reads up to {SCHEMA_VERSION}")
     try:
         return _DECODERS[kind](doc)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ToolkitError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError, ToolkitError) as exc:
         raise DataError(f"{path}: malformed {kind} artifact ({type(exc).__name__}: {exc})") from None
 
 
@@ -353,27 +354,29 @@ def noise_impact_to_dict(
 # ---------------------------------------------------------------------------
 
 
-def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None, params: dict | None = None) -> dict:
-    order = {c: i for i, c in enumerate(m.classes)}
-    records = sorted(m.records, key=lambda r: (order[r.true_label], r.class_rank))
+def _manifest_doc(m: SubsetManifest, input_digest: str | None, params: dict | None, records: list) -> dict:
     body = {
         "classes": list(m.classes),
         "per_class_pool": m.per_class_pool,
         "sizes": list(m.sizes),
         "seed": m.seed,
         "diagnostics": dict(m.diagnostics),
-        "records": [
-            {
-                "image_id": r.image_id,
-                "true_label": r.true_label,
-                "assigned_label": r.assigned_label,
-                "noise_flag": r.noise_flag,
-                "class_rank": r.class_rank,
-            }
-            for r in records
-        ],
+        "records": records,
     }
     return envelope("manifest", body, {"input_digest": input_digest}, params or {})
+
+
+def _record_fields(m: SubsetManifest, ids, labels) -> Iterator[tuple]:
+    """Each image's record fields in sorted-key order, class then rank order."""
+    recs = m.records
+    for image_id, t, a, rank in zip(ids, recs.labels().tolist(), recs.assigned.tolist(), recs.ranks().tolist()):
+        yield labels[a], rank, image_id, a != t, labels[t]
+
+
+def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None, params: dict | None = None) -> dict:
+    keys = ("assigned_label", "class_rank", "image_id", "noise_flag", "true_label")
+    records = [dict(zip(keys, fields)) for fields in _record_fields(m, m.records.ids, m.classes)]
+    return _manifest_doc(m, input_digest, params, records)
 
 
 def manifest_from_dict(d: dict) -> SubsetManifest:
@@ -382,24 +385,36 @@ def manifest_from_dict(d: dict) -> SubsetManifest:
         per_class_pool=int(d["per_class_pool"]),
         sizes=tuple(int(s) for s in d["sizes"]),
         seed=int(d["seed"]),
-        records=tuple(
-            ImageRecord(
-                image_id=r["image_id"],
-                true_label=r["true_label"],
-                assigned_label=r["assigned_label"],
-                noise_flag=bool(r["noise_flag"]),
-                class_rank=int(r["class_rank"]),
-            )
-            for r in d["records"]
+        records=RecordColumns(
+            [r["image_id"] for r in d["records"]],
+            [r["true_label"] for r in d["records"]],
+            [r["assigned_label"] for r in d["records"]],
+            [bool(r["noise_flag"]) for r in d["records"]],
+            [int(r["class_rank"]) for r in d["records"]],
         ),
         diagnostics={str(k): int(v) for k, v in d.get("diagnostics", {}).items()},
     )
 
 
+# One record as dumps_canonical lays it out inside a manifest's records list.
+_RECORD = (
+    '    {\n      "assigned_label": %s,\n      "class_rank": %d,\n      "image_id": %s,\n'
+    '      "noise_flag": %s,\n      "true_label": %s\n    }'
+)
+
+
 def write_manifest(
     m: SubsetManifest, path: str | Path, input_digest: str | None = None, params: dict | None = None
 ) -> None:
-    write_json(manifest_to_dict(m, input_digest, params), path)
+    """Write ``dumps_canonical(manifest_to_dict(m, input_digest, params))``,
+    formatting the records straight from the manifest's columns."""
+    try:
+        ids, labels = list(map(encode_basestring, m.records.ids)), list(map(encode_basestring, m.classes))
+    except TypeError:  # a non-string id or class: json lays it out
+        return write_json(manifest_to_dict(m, input_digest, params), path)
+    block = ",\n".join([_RECORD % (a, r, i, "true" if f else "false", t) for a, r, i, f, t in _record_fields(m, ids, labels)])
+    text = dumps_canonical(_manifest_doc(m, input_digest, params, []))
+    write_files((path, text.replace('\n  "records": []', '\n  "records": [\n' + block + "\n  ]", 1)))
 
 
 def read_manifest(path: str | Path) -> SubsetManifest:

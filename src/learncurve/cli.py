@@ -6,7 +6,7 @@ a known curve, ``fit`` / ``region`` produce JSON artifacts, ``extrapolate``
 ``manifest`` builds and manipulates nested-subset experiment manifests, and
 ``report`` renders the SVG plot.  Exit codes: 0 success, 2 usage error,
 3 data-contract error, 4 numeric failure (non-convergence, no region,
-floating-point overflow).
+a result outside the floating-point range).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
     DataError,
     NonConvergenceError,
     NoRegionError,
+    NumericError,
     ToolkitError,
 )
 from .fitting import LOGLOG, NONLINEAR, detect_power_law_region, fit_discrepancy, fit_loglog, fit_nonlinear
@@ -200,7 +201,7 @@ def _cmd_manifest_noise(args) -> int:
     noisy = inject_label_noise(read_manifest(source), args.p, args.seed)
     params = {"p": args.p, "seed": args.seed}
     write_manifest(noisy, args.out, input_digest=source.digest, params=params)
-    flipped = sum(1 for r in noisy.records if r.noise_flag)
+    flipped = len(noisy.flipped_ids())
     _say(f"wrote {args.out} ({flipped} of {len(noisy.records)} labels flipped)")
     return EXIT_OK
 
@@ -332,10 +333,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ToolkitError, OSError, OverflowError) as exc:
-        overflow = isinstance(exc, OverflowError)
-        print(f"error: {'floating-point overflow: ' if overflow else ''}{exc}", file=sys.stderr)
-        return EXIT_NUMERIC if overflow or isinstance(exc, (NonConvergenceError, NoRegionError)) else EXIT_DATA
+    except (ToolkitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC if isinstance(exc, (NonConvergenceError, NoRegionError, NumericError)) else EXIT_DATA
 
 
 if __name__ == "__main__":

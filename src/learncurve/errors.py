@@ -29,6 +29,11 @@ class NonConvergenceError(ToolkitError):
         self.last_fit = last_fit
 
 
+class NumericError(ToolkitError):
+    """A result leaves the floating-point range: it overflows, or a fitted
+    coefficient underflows to 0."""
+
+
 class NoRegionError(ToolkitError):
     """No candidate satisfied the region-detection rule.
 

@@ -29,9 +29,10 @@ from .errors import (
     LogDomainError,
     NonConvergenceError,
     NoRegionError,
+    NumericError,
     ParameterError,
 )
-from .model import Measurement, MeasurementSet, aggregate, group_by_n
+from .model import Measurement, MeasurementSet, aggregate, float_power, group_by_n
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
@@ -76,7 +77,7 @@ class PowerLawFit:
             raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
     def predict(self, n: float) -> float:
-        return self.c * float(n) ** self.alpha
+        return self.c * float_power(n, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,17 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slope, ym[..., 0] - slope * xm[..., 0]
 
 
+def _exp_c(log_c: float) -> float:
+    """The coefficient ``exp(log_c)``; NumericError when it overflows or underflows to 0."""
+    try:
+        c = math.exp(log_c)
+    except OverflowError:
+        c = math.inf
+    if c in (0.0, math.inf):
+        raise NumericError(f"floating-point {'overflow' if c else 'underflow'}: c = exp({log_c!r}) leaves the float range")
+    return c
+
+
 def _r_squared(rss: float, ss_tot: float) -> float | None:
     if ss_tot == 0.0:
         return None
@@ -191,7 +203,7 @@ def fit_loglog(
     used = [p.n for p in pts]
     return PowerLawFit(
         alpha=alpha,
-        c=math.exp(log_c),
+        c=_exp_c(log_c),
         method=LOGLOG,
         n_range=(min(used), max(used)),
         rss=rss,
@@ -311,7 +323,7 @@ def fit_nonlinear(
             )
         pn, py = (n_arr, y_arr) if len(pos) == len(pts) else _xy(pos, on_means)
         a0, log_c0 = _ols(np.log(pn), np.log(py))
-        c0 = math.exp(log_c0)
+        c0 = _exp_c(log_c0)
 
     c, a, rss, iterations, converged = (
         v[0].item() for v in _gauss_newton(n_arr, y_arr[None, :], c0, a0)

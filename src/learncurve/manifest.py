@@ -11,13 +11,18 @@ positional draws.  Label-noise decisions depend only on the seed and the
 image id, so the flipped images inside any subset are exactly the flips of
 the full pool intersected with that subset, and results are independent of
 listing order.  Pixel data is never touched; the manifest holds ids only.
+Images are stored as columns in class-then-rank order, so a subset is a
+prefix of every class; :class:`ImageRecord` objects are made only on reading.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from itertools import accumulate, chain
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -26,25 +31,21 @@ from .errors import DataError, ParameterError
 _HASH_PERSON = b"lc.manifest"
 
 
-def _digest(*parts: object) -> bytes:
+def _keyed(*parts: object) -> "hashlib.blake2b":
+    """Hash state of the key ``parts``; copies extend it by one more part."""
     h = hashlib.blake2b(digest_size=16, person=_HASH_PERSON)
     for part in parts:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x1f")  # separator: ("ab", "c") must differ from ("a", "bc")
-    return h.digest()
-
-
-def _unit(*parts: object) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by the given parts."""
-    return int.from_bytes(_digest(*parts)[:8], "big") / 2.0**64
+    return h
 
 
 def _index(k: int, *parts: object) -> int:
-    return int.from_bytes(_digest(*parts)[:8], "big") % k
+    return int.from_bytes(_keyed(*parts).digest()[:8], "big") % k
 
 
 def _rng(*parts: object) -> np.random.Generator:
-    return np.random.default_rng(int.from_bytes(_digest(*parts), "big"))
+    return np.random.default_rng(int.from_bytes(_keyed(*parts).digest(), "big"))
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,81 @@ class ImageRecord:
             raise ParameterError(f"class_rank must be >= 0, got {self.class_rank}")
 
 
+class RecordColumns(NamedTuple):
+    """The ImageRecord fields of images in any order, one list per field."""
+
+    image_id: list
+    true_label: list
+    assigned_label: list
+    noise_flag: list
+    class_rank: list
+
+    def coded(self, classes: Sequence[str]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, true, assigned, ranks), labels as indices (from ``len(classes)`` on outside
+        ``classes``); the first image breaking ImageRecord's rules is built to raise its error."""
+        codes = {c: i for i, c in enumerate(dict.fromkeys(classes))}
+        true = np.array([codes.setdefault(x, len(codes)) for x in self.true_label], dtype=np.intp)
+        assigned = np.array([codes.setdefault(x, len(codes)) for x in self.assigned_label], dtype=np.intp)
+        try:
+            ranks = np.array(self.class_rank, dtype=np.intp)
+        except OverflowError:  # kept exact: such a rank only breaks contiguity
+            ranks = np.array(self.class_rank, dtype=object)
+        flags = np.array(self.noise_flag, dtype=bool)
+        broken = np.flatnonzero((flags != (true != assigned)) | (ranks < 0))
+        if broken.size:
+            ImageRecord(*(column[broken[0]] for column in self))
+        return self.image_id, true, assigned, ranks
+
+
+class ManifestRecords(Sequence):
+    """A manifest's images as columns in class-then-rank order: ``ids``, the
+    image ``counts`` per class and the ``assigned`` label index of each image.
+    True labels and ranks follow from positions; reading an item builds its
+    ImageRecord, and a tuple or list compares record by record."""
+
+    __slots__ = ("classes", "ids", "counts", "assigned", "starts")
+
+    def __init__(self, classes: Sequence[str], ids: Iterable[str], counts: Iterable[int], assigned: np.ndarray):
+        self.classes, self.ids, self.counts = tuple(classes), tuple(ids), tuple(counts)
+        self.assigned = np.asarray(assigned, dtype=np.intp)
+        self.assigned.flags.writeable = False
+        self.starts = tuple(accumulate(self.counts, initial=0))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> ImageRecord:
+        i = range(len(self))[index]
+        c, a = bisect_right(self.starts, i) - 1, int(self.assigned[i])
+        return ImageRecord(self.ids[i], self.classes[c], self.classes[a], a != c, i - self.starts[c])
+
+    def __iter__(self):
+        assigned, classes = self.assigned.tolist(), self.classes
+        for c, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])):
+            for i in range(lo, hi):
+                yield ImageRecord(self.ids[i], classes[c], classes[assigned[i]], assigned[i] != c, i - lo)
+
+    def __eq__(self, other):
+        if isinstance(other, ManifestRecords):
+            same = (self.classes, self.counts, self.ids) == (other.classes, other.counts, other.ids)
+            return same and bool(np.array_equal(self.assigned, other.assigned))
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def labels(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def ranks(self) -> np.ndarray:
+        return np.arange(len(self.ids)) - np.repeat(self.starts[:-1], self.counts)
+
+    def prefix(self, depth: int) -> "ManifestRecords":
+        """The first ``depth`` ranks of every class."""
+        ids = chain.from_iterable(self.ids[lo:lo + depth] for lo in self.starts[:-1])
+        assigned = np.concatenate([self.assigned[lo:lo + depth] for lo in self.starts[:-1]])
+        return ManifestRecords(self.classes, ids, [depth] * len(self.counts), assigned)
+
+
 @dataclass(frozen=True)
 class SubsetManifest:
     """Deterministic nested training subsets with per-image label state.
@@ -73,17 +149,27 @@ class SubsetManifest:
     ``per_class_pool`` is the usable pool depth per class (the smallest
     class count).  ``diagnostics`` records, for classes that carry capture
     groups, how many adjacent same-group pairs remain inside the deepest
-    subset after best-effort interleaving.
+    subset after best-effort interleaving.  ``records`` (ImageRecords in
+    any order) is kept as :class:`ManifestRecords`.
     """
 
     classes: tuple[str, ...]
     per_class_pool: int
     sizes: tuple[int, ...]
     seed: int
-    records: tuple[ImageRecord, ...]
+    records: Sequence[ImageRecord]
     diagnostics: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        records = self.records
+        columnar = isinstance(records, ManifestRecords) and records.classes == tuple(self.classes)
+        if columnar:
+            rows = records.ids, records.labels(), records.assigned, records.ranks()
+        else:
+            if not isinstance(records, RecordColumns):
+                recs = tuple(records)
+                records = RecordColumns(*([getattr(r, f) for r in recs] for f in RecordColumns._fields))
+            rows = records.coded(self.classes)
         k = len(self.classes)
         if k < 1:
             raise ParameterError("manifest needs at least one class")
@@ -103,51 +189,69 @@ class SubsetManifest:
                 f"largest subset needs {max(self.sizes) // k} images per class, "
                 f"pool depth is {self.per_class_pool}"
             )
-        class_set = set(self.classes)
-        ranks: dict[str, set[int]] = {c: set() for c in self.classes}
-        ids = set()
-        for rec in self.records:
-            if rec.image_id in ids:
-                raise DataError(f"duplicate image id {rec.image_id!r}")
-            ids.add(rec.image_id)
-            if rec.true_label not in class_set or rec.assigned_label not in class_set:
-                raise DataError(f"image {rec.image_id!r} has a label outside the class list")
-            if rec.class_rank in ranks[rec.true_label]:
-                raise DataError(
-                    f"duplicate rank {rec.class_rank} in class {rec.true_label!r}"
-                )
-            ranks[rec.true_label].add(rec.class_rank)
-        counts = {c: len(r) for c, r in ranks.items()}
-        for c, r in ranks.items():
-            if r != set(range(counts[c])):
-                raise DataError(f"ranks of class {c!r} are not contiguous from 0")
-        if min(counts.values(), default=0) != self.per_class_pool:
+        order, counts = self._check_images(*rows)
+        if not columnar:
+            ids, _, assigned, _ = rows
+            records = ManifestRecords(self.classes, [ids[i] for i in order.tolist()], counts, assigned[order])
+        object.__setattr__(self, "records", records)
+
+    def _check_images(self, ids, true, assigned, ranks) -> tuple[np.ndarray, list[int]]:
+        """Unique ids, labels in the class list, each class's ranks distinct and from 0, and
+        ``per_class_pool`` the smallest class count; a broken rule names the image or class
+        a check image by image, then class by class, stops at.  Returns the class-then-rank
+        order and the class counts."""
+        k, n = len(self.classes), len(ids)
+        order = np.lexsort((ranks, true))
+        label, rank = true[order], ranks[order]
+        repeat = np.zeros(n, dtype=bool)
+        repeat[order[1:][(label[1:] == label[:-1]) & (rank[1:] == rank[:-1])]] = True
+        outside = (true >= k) | (assigned >= k)
+        broken = np.flatnonzero(outside | repeat)
+        first = int(broken[0]) if broken.size else n
+        if len(set(ids)) < n:  # a repeated id at or before ``first`` is reported first
+            firsts: dict = {}
+            repeated = next(i for i, x in enumerate(ids) if firsts.setdefault(x, i) != i)
+            if repeated <= first:
+                raise DataError(f"duplicate image id {ids[repeated]!r}")
+        if first < n:
+            if outside[first]:
+                raise DataError(f"image {ids[first]!r} has a label outside the class list")
+            raise DataError(f"duplicate rank {ranks[first]} in class {self.classes[true[first]]!r}")
+        counts = np.bincount(true, minlength=k)
+        gaps = np.flatnonzero(rank != np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+        if gaps.size:
+            raise DataError(f"ranks of class {self.classes[label[gaps[0]]]!r} are not contiguous from 0")
+        if counts.min() != self.per_class_pool:
             raise ParameterError(
                 f"per_class_pool={self.per_class_pool} does not match the smallest "
-                f"class count {min(counts.values(), default=0)}"
+                f"class count {counts.min()}"
             )
+        return order, counts.tolist()
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def subset_records(self, size: int) -> list[ImageRecord]:
-        """Records of the nested subset of the given total size, class then rank order."""
+    def _depth(self, size: int) -> int:
+        """Images per class in the subset of the given total size."""
         if size not in self.sizes:
             raise DataError(f"size {size} is not one of the manifest subsets {self.sizes}")
-        depth = size // self.n_classes
-        order = {c: i for i, c in enumerate(self.classes)}
-        picked = [r for r in self.records if r.class_rank < depth]
-        picked.sort(key=lambda r: (order[r.true_label], r.class_rank))
-        return picked
+        return size // self.n_classes
+
+    def subset_records(self, size: int) -> list[ImageRecord]:
+        """Records of the nested subset of the given total size, class then rank order."""
+        return list(self.records.prefix(self._depth(size)))
 
     def subset_ids(self, size: int) -> frozenset[str]:
-        return frozenset(r.image_id for r in self.subset_records(size))
+        return frozenset(self.records.prefix(self._depth(size)).ids)
 
     def flipped_ids(self, size: int | None = None) -> frozenset[str]:
         """Ids with noisy labels, over the whole pool or one subset."""
-        recs = self.records if size is None else self.subset_records(size)
-        return frozenset(r.image_id for r in recs if r.noise_flag)
+        recs = self.records
+        flipped = recs.assigned != recs.labels()
+        if size is not None:
+            flipped &= recs.ranks() < self._depth(size)
+        return frozenset(recs.ids[i] for i in np.flatnonzero(flipped).tolist())
 
 
 def _interleave(
@@ -159,21 +263,29 @@ def _interleave(
     pool) of a different group; when the whole tail shares the previous
     group there is nothing to swap and the collision stays.  Returns the
     repaired order and the number of remaining collisions inside ``depth``.
+    Linear time: positions ``(i, run_end]`` are known to hold ``run_group``,
+    so a search for another group resumes past them.
     """
     items = list(ordered)
-    limit = min(depth, len(items))
+    groups = [group for _, group in items]
+    n = len(items)
+    limit = min(depth, n)
+    run_group, run_end = None, 0
     for i in range(1, limit):
-        prev_group = items[i - 1][1]
-        if prev_group is None or items[i][1] != prev_group:
+        prev_group = groups[i - 1]
+        if prev_group is None or groups[i] != prev_group:
             continue
-        for j in range(i + 1, len(items)):
-            if items[j][1] != prev_group:
-                items[i], items[j] = items[j], items[i]
-                break
+        j = max(i, run_end) + 1 if run_group == prev_group else i + 1
+        while j < n and groups[j] == prev_group:
+            j += 1
+        if j < n:
+            items[i], items[j] = items[j], items[i]
+            groups[i], groups[j] = groups[j], prev_group
+        run_group, run_end = prev_group, min(j, n - 1)
     collisions = sum(
         1
         for i in range(1, limit)
-        if items[i][1] is not None and items[i][1] == items[i - 1][1]
+        if groups[i] is not None and groups[i] == groups[i - 1]
     )
     return items, collisions
 
@@ -222,31 +334,22 @@ def build_nested_subsets(
                 f"the largest subset needs {depth} per class"
             )
 
-    records = []
+    ids: list[str] = []
     diagnostics: dict[str, int] = {}
     for cls in classes:
         members = sorted(by_class[cls])
         perm = _rng(seed, "shuffle", cls).permutation(len(members))
-        ordered = [members[i] for i in perm]
+        ordered = [members[i] for i in perm.tolist()]
         if any(group is not None for _, group in ordered):
-            ordered, collisions = _interleave(ordered, depth)
-            diagnostics[cls] = collisions
-        for rank, (image_id, _) in enumerate(ordered):
-            records.append(
-                ImageRecord(
-                    image_id=image_id,
-                    true_label=cls,
-                    assigned_label=cls,
-                    noise_flag=False,
-                    class_rank=rank,
-                )
-            )
+            ordered, diagnostics[cls] = _interleave(ordered, depth)
+        ids.extend(image_id for image_id, _ in ordered)
+    counts = [len(by_class[cls]) for cls in classes]
     return SubsetManifest(
         classes=classes,
-        per_class_pool=min(len(v) for v in by_class.values()),
+        per_class_pool=min(counts),
         sizes=tuple(sizes),
         seed=seed,
-        records=tuple(records),
+        records=ManifestRecords(classes, ids, counts, np.repeat(np.arange(k), counts)),
         diagnostics=diagnostics,
     )
 
@@ -266,15 +369,23 @@ def inject_label_noise(m: SubsetManifest, p: float, seed: int) -> SubsetManifest
     if m.n_classes < 2:
         raise ParameterError("need at least 2 classes to pick a wrong label")
 
-    new_records = []
-    for rec in m.records:
-        if p > 0.0 and _unit(seed, "flip", rec.image_id) < p:
-            wrongs = [c for c in m.classes if c != rec.true_label]
-            wrong = wrongs[_index(len(wrongs), seed, "label", rec.image_id)]
-            new_records.append(replace(rec, assigned_label=wrong, noise_flag=True))
-        else:
-            new_records.append(replace(rec, assigned_label=rec.true_label, noise_flag=False))
-    return replace(m, records=tuple(new_records))
+    recs = m.records
+    true = recs.labels()
+    assigned = true.copy()
+    if p > 0.0:
+        flip, label = _keyed(seed, "flip"), _keyed(seed, "label")
+        at, picks = [], []
+        for i, image_id in enumerate(recs.ids):
+            key, h = f"{image_id}\x1f".encode("utf-8"), flip.copy()
+            h.update(key)
+            if int.from_bytes(h.digest()[:8], "big") / 2.0**64 < p:
+                h = label.copy()
+                h.update(key)
+                at.append(i)
+                picks.append(int.from_bytes(h.digest()[:8], "big") % (m.n_classes - 1))
+        at, pick = np.array(at, dtype=np.intp), np.array(picks, dtype=np.intp)
+        assigned[at] = pick + (pick >= true[at])  # pick indexes the other classes, in order
+    return replace(m, records=ManifestRecords(m.classes, recs.ids, recs.counts, assigned))
 
 
 def holdout_split(
@@ -289,45 +400,37 @@ def holdout_split(
     trained on the same volume hold out the same data.  Both id lists are
     sorted lexicographically.
     """
-    if size not in m.sizes:
-        raise DataError(f"size {size} is not one of the manifest subsets {m.sizes}")
+    depth = m._depth(size)
     if not 0.0 < fraction < 1.0:
         raise ParameterError(f"holdout fraction must lie in (0, 1), got {fraction}")
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
     k = m.n_classes
-    depth = size // k
     val_total = round(fraction * size)
     base, extra = divmod(val_total, k)
     start = _index(k, m.seed, seed, size, fraction, "rotation")
 
-    members: dict[str, list[str]] = {c: [None] * depth for c in m.classes}
-    for rec in m.records:
-        if rec.class_rank < depth:
-            members[rec.true_label][rec.class_rank] = rec.image_id
-
     train: list[str] = []
     validation: list[str] = []
+    ids = m.records.prefix(depth).ids
     for i, cls in enumerate(m.classes):
         quota = base + (1 if (i - start) % k < extra else 0)
         rng = _rng(m.seed, seed, size, fraction, "holdout", cls)
         chosen = set(rng.choice(depth, size=quota, replace=False).tolist()) if quota else set()
-        for rank, image_id in enumerate(members[cls]):
+        for rank, image_id in enumerate(ids[i * depth:(i + 1) * depth]):
             (validation if rank in chosen else train).append(image_id)
     return sorted(train), sorted(validation)
 
 
 def restrict_to_size(m: SubsetManifest, size: int) -> SubsetManifest:
     """Stand-alone manifest holding exactly the subset of the given size."""
-    if size not in m.sizes:
-        raise DataError(f"size {size} is not one of the manifest subsets {m.sizes}")
-    depth = size // m.n_classes
+    depth = m._depth(size)
     return SubsetManifest(
         classes=m.classes,
         per_class_pool=depth,
         sizes=tuple(s for s in m.sizes if s <= size),
         seed=m.seed,
-        records=tuple(r for r in m.records if r.class_rank < depth),
+        records=m.records.prefix(depth),
         diagnostics=dict(m.diagnostics),
     )

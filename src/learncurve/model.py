@@ -12,18 +12,30 @@ the ground-truth oracle when validating the fitting routines.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericError, ParameterError
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
 
 # Synthetic values are truncated here so log-transforms stay defined.
 VALUE_FLOOR = 1e-12
+
+
+def float_power(base: float, exponent: float) -> float:
+    """``float(base) ** exponent``; NumericError when it leaves the float range."""
+    try:
+        result = float(base) ** exponent
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if not math.isfinite(result):
+        raise NumericError(f"floating-point overflow: {base!r} ** {exponent!r} exceeds the float range")
+    return result
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,7 @@ class ThreePhaseModel:
         """Loss at sample count ``n`` (clamped power law)."""
         if n < 1:
             raise ParameterError(f"sample count must be >= 1, got {n}")
-        return min(max(self.c * float(n) ** self.alpha, self.floor), self.plateau)
+        return min(max(self.c * float_power(n, self.alpha), self.floor), self.plateau)
 
 
 def random_guess_plateau(metric: str, n_classes: int) -> float:
@@ -118,6 +130,8 @@ class MeasurementSet:
             key = (p.metric, p.n, p.replicate)
             if not isinstance(p.n, int) or p.n < 1:
                 error = ParameterError(f"sample count must be a positive int, got {p.n!r}")
+            elif p.n > sys.float_info.max:
+                error = ParameterError(f"sample count {p.n} exceeds the float range")
             elif not isinstance(p.replicate, int) or p.replicate < 0:
                 error = ParameterError(f"replicate id must be a non-negative int, got {p.replicate!r}")
             elif not (isinstance(p.value, float) and math.isfinite(p.value) and p.value >= 0.0):
@@ -147,7 +161,11 @@ class MeasurementSet:
 
     def only(self, metric: str) -> "MeasurementSet":
         """Sub-set holding only the given metric (possibly empty)."""
-        return MeasurementSet(tuple(p for p in self.points if p.metric == metric))
+        if all(p.metric == metric for p in self.points):
+            return self
+        subset = object.__new__(MeasurementSet)  # points of a valid set keep every rule
+        object.__setattr__(subset, "points", tuple(p for p in self.points if p.metric == metric))
+        return subset
 
     def distinct_n(self) -> list[int]:
         return sorted({p.n for p in self.points})

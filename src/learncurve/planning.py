@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParallelCurvesError, ParameterError
+from .errors import NumericError, ParallelCurvesError, ParameterError
 from .fitting import PowerLawFit
+from .model import float_power
 
 # Tolerance for snapping an analytically integral sample size back onto
 # the integer before taking the ceiling.
@@ -67,7 +68,7 @@ def extrapolate(fit: PowerLawFit, n: int) -> LossPrediction:
     """Evaluate the fitted curve at ``n``, marking extrapolation beyond n_range."""
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    value = fit.c * float(n) ** fit.alpha
+    value = fit.c * float_power(n, fit.alpha)
     outside = not (fit.n_range[0] <= n <= fit.n_range[1])
     return LossPrediction(n=int(n), value=value, extrapolated=outside)
 
@@ -87,7 +88,7 @@ def required_sample_size(fit: PowerLawFit, target_loss: float) -> int:
             f"fitted curve is non-decreasing (alpha={fit.alpha}); no finite sample size "
             "reaches the target"
         )
-    exact = (target_loss / fit.c) ** (1.0 / fit.alpha)
+    exact = float_power(target_loss / fit.c, 1.0 / fit.alpha)
     n = math.ceil(exact - _CEIL_SNAP * max(abs(exact), 1.0))
     return max(n, 1)
 
@@ -143,8 +144,10 @@ def noise_impact(
     for target in targets:
         if target <= 0:
             raise ParameterError(f"target loss must be positive, got {target}")
-        n_noisy = (target / fit_noisy.c) ** (1.0 / fit_noisy.alpha)
-        n_clean = (target / fit_clean.c) ** (1.0 / fit_clean.alpha)
+        n_noisy = float_power(target / fit_noisy.c, 1.0 / fit_noisy.alpha)
+        n_clean = float_power(target / fit_clean.c, 1.0 / fit_clean.alpha)
+        if n_clean == 0.0:
+            raise NumericError(f"floating-point underflow: the clean sample size for target {target!r} rounds to 0")
         mults.append((float(target), float(n_noisy / n_clean)))
     return NoiseImpactReport(
         delta_alpha=fit_noisy.alpha - fit_clean.alpha,

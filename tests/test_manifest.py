@@ -1,9 +1,13 @@
 """Tests for nested-subset manifests, label noise, and holdout splits."""
 
+import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from learncurve import (
     DataError,
@@ -15,6 +19,10 @@ from learncurve import (
     inject_label_noise,
     restrict_to_size,
 )
+from learncurve import artifacts
+from learncurve.artifacts import dumps_canonical, manifest_from_dict, manifest_to_dict, read_manifest, write_manifest
+from learncurve.cli import main as cli_main
+from learncurve.manifest import _interleave
 
 
 def make_pool(classes=3, per_class=40, groups_per_class=0):
@@ -266,3 +274,232 @@ class TestRecordAndManifestValidation:
         )
         with pytest.raises(ParameterError, match="pool depth"):
             SubsetManifest(("x",), 2, (4,), 0, records)
+
+
+# ---------------------------------------------------------------------------
+# Columnar engine: equivalence with the per-record reference code
+# ---------------------------------------------------------------------------
+
+
+def reference_interleave(ordered, depth):
+    """The quadratic greedy repair that ``_interleave`` must reproduce."""
+    items = list(ordered)
+    limit = min(depth, len(items))
+    for i in range(1, limit):
+        prev_group = items[i - 1][1]
+        if prev_group is None or items[i][1] != prev_group:
+            continue
+        for j in range(i + 1, len(items)):
+            if items[j][1] != prev_group:
+                items[i], items[j] = items[j], items[i]
+                break
+    collisions = sum(
+        1
+        for i in range(1, limit)
+        if items[i][1] is not None and items[i][1] == items[i - 1][1]
+    )
+    return items, collisions
+
+
+def reference_image_rules(classes, per_class_pool, records):
+    """The manifest's image rules checked record by record, then class by class."""
+    class_set = set(classes)
+    ranks = {c: set() for c in classes}
+    ids = set()
+    for rec in records:
+        if rec.image_id in ids:
+            raise DataError(f"duplicate image id {rec.image_id!r}")
+        ids.add(rec.image_id)
+        if rec.true_label not in class_set or rec.assigned_label not in class_set:
+            raise DataError(f"image {rec.image_id!r} has a label outside the class list")
+        if rec.class_rank in ranks[rec.true_label]:
+            raise DataError(f"duplicate rank {rec.class_rank} in class {rec.true_label!r}")
+        ranks[rec.true_label].add(rec.class_rank)
+    counts = {c: len(r) for c, r in ranks.items()}
+    for c, r in ranks.items():
+        if r != set(range(counts[c])):
+            raise DataError(f"ranks of class {c!r} are not contiguous from 0")
+    if min(counts.values(), default=0) != per_class_pool:
+        raise ParameterError(
+            f"per_class_pool={per_class_pool} does not match the smallest "
+            f"class count {min(counts.values(), default=0)}"
+        )
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except (DataError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+group_lists = st.lists(st.one_of(st.none(), st.integers(0, 4).map(lambda g: f"g{g}")), max_size=60)
+
+
+class TestLinearInterleave:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(groups=group_lists, n_groups=st.integers(1, 5), depth_shift=st.integers(-5, 5), data=st.data())
+    def test_matches_the_reference(self, groups, n_groups, depth_shift, data):
+        groups = [g if g is None or int(g[1:]) < n_groups else "g0" for g in groups]
+        ordered = [(f"id{i}", g) for i, g in enumerate(groups)]
+        depth = max(len(ordered) + depth_shift, 0)
+        if data.draw(st.booleans()):
+            depth = data.draw(st.integers(0, len(ordered) + 2))
+        assert _interleave(ordered, depth) == reference_interleave(ordered, depth)
+
+    @pytest.mark.parametrize("share", [0.55, 0.95])
+    def test_matches_the_reference_on_a_crowded_class(self, share):
+        rng = np.random.default_rng(3)
+        n = 3000
+        groups = np.where(rng.random(n) < share, "big", rng.integers(0, 600, n).astype(str))
+        ordered = [(f"id{i}", str(g)) for i, g in enumerate(groups)]
+        assert _interleave(ordered, n) == reference_interleave(ordered, n)
+
+    def test_crowded_class_builds_in_linear_time(self):
+        # One class of 50 000 images, 95 % in one capture group: the quadratic
+        # repair needed about 27 s for this.
+        rng = np.random.default_rng(5)
+        crowded = rng.random(50_000) < 0.95
+        images = [(f"img{i:05d}", "c", "big" if crowded[i] else f"g{i % 997}") for i in range(50_000)]
+        start = time.perf_counter()
+        m = build_nested_subsets(images, [50_000], seed=1)
+        assert time.perf_counter() - start < 2.0
+        assert m.diagnostics["c"] > 0
+
+
+image_ids = st.text(alphabet=st.sampled_from(['a', 'Z', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', 'é', '植', '😀', ' ', '/']), max_size=4)
+
+
+@st.composite
+def manifests(draw):
+    """Small manifests with awkward ids and labels; one class may have no spare image."""
+    k = draw(st.integers(2, 4))
+    classes = [f"c{i}" + draw(st.sampled_from(["", '"', "\\", "ü", "\x01"])) for i in range(k)]
+    depth = draw(st.integers(1, 4))
+    counts = [depth + draw(st.integers(0, 3)) for _ in classes]
+    counts[draw(st.integers(0, k - 1))] = depth  # a class with 0 spare images
+    images = []
+    for ci, cls in enumerate(classes):
+        for j in range(counts[ci]):
+            image_id = draw(image_ids) + f"#{ci}.{j}"
+            images.append((image_id, cls, draw(st.sampled_from([None, "", "g0", "g1"]))))
+    sizes = sorted({k * d for d in draw(st.lists(st.integers(1, depth), min_size=1, max_size=3))})
+    m = build_nested_subsets(images, sizes, seed=draw(st.integers(0, 50)))
+    return inject_label_noise(m, draw(st.sampled_from([0.0, 0.4, 1.0])), seed=draw(st.integers(0, 50)))
+
+
+class TestColumns:
+    def test_records_view_behaves_like_a_tuple(self):
+        m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)
+        as_tuple = tuple(m.records)
+        assert len(m.records) == len(as_tuple) == 21
+        assert m.records == as_tuple and as_tuple == m.records
+        assert m.records == list(as_tuple)
+        assert [m.records[i] for i in range(-21, 21)] == list(as_tuple) * 2
+        with pytest.raises(IndexError):
+            m.records[21]
+        assert m.records != as_tuple[:-1]
+        assert [(r.true_label, r.class_rank) for r in as_tuple] == sorted(
+            (r.true_label, r.class_rank) for r in as_tuple
+        )
+
+    def test_records_in_any_order_make_the_same_manifest(self):
+        m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)
+        shuffled = list(m.records)
+        np.random.default_rng(1).shuffle(shuffled)
+        again = SubsetManifest(m.classes, m.per_class_pool, m.sizes, m.seed, tuple(shuffled), m.diagnostics)
+        assert again == m
+        assert tuple(again.records) == tuple(m.records)
+        assert SubsetManifest(m.classes, m.per_class_pool, m.sizes, m.seed, iter(shuffled), m.diagnostics) == m
+
+    def test_replacing_classes_reorders_the_columns(self):
+        m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)
+        flipped = dataclasses.replace(m, classes=tuple(reversed(m.classes)))
+        assert [r.true_label for r in flipped.records][:7] == ["class2"] * 7
+        assert set(flipped.records) == set(m.records)
+        assert flipped.flipped_ids() == m.flipped_ids()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_image_rules_name_the_same_offender(self, data):
+        classes = ("a", "b", "c")
+        n = data.draw(st.integers(0, 12))
+        records = []
+        for i in range(n):
+            true = data.draw(st.sampled_from(classes + ("z",)))
+            assigned = data.draw(st.sampled_from((true, "a", "b", "z")))
+            image_id = data.draw(st.sampled_from([f"i{i}", "dup", "dup2"]))
+            records.append(ImageRecord(image_id, true, assigned, assigned != true, data.draw(st.integers(0, 4))))
+        pool = data.draw(st.integers(1, 4))
+        expected = outcome(reference_image_rules, classes, pool, records)
+        assert outcome(SubsetManifest, classes, pool, (3,), 0, tuple(records)) == expected
+
+    def test_rank_beyond_int64_breaks_contiguity(self):
+        for last in (2**70, 2**71):
+            records = (ImageRecord("x", "a", "a", False, 2**71), ImageRecord("y", "a", "a", False, last))
+            expected = outcome(reference_image_rules, ("a",), 2, records)
+            assert outcome(SubsetManifest, ("a",), 2, (1,), 0, records) == expected
+
+    def test_loaded_records_keep_image_record_rules(self):
+        m = build_nested_subsets(make_pool(2, 3), [4], seed=1)
+        d = manifest_to_dict(m)
+        d["records"][4]["noise_flag"] = True
+        d["records"][2]["class_rank"] = -1
+        with pytest.raises(ParameterError, match=r"class_rank must be >= 0, got -1"):
+            manifest_from_dict(d)
+        d["records"][1]["noise_flag"] = True
+        with pytest.raises(ParameterError, match=f"noise_flag must mirror a label change \\(image '{d['records'][1]['image_id']}'\\)"):
+            manifest_from_dict(d)
+
+    def test_loaded_records_in_any_order(self):
+        m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)
+        d = manifest_to_dict(m)
+        d["records"].reverse()
+        assert manifest_from_dict(d) == m
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(m=manifests())
+    def test_direct_writer_matches_the_json_encoder(self, m, tmp_path_factory):
+        path = tmp_path_factory.mktemp("w") / "m.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(artifacts, "utc_now", lambda: "2026-01-01T00:00:00+00:00")
+            write_manifest(m, path, input_digest="d" * 64, params={"p": 0.4})
+            expected = dumps_canonical(manifest_to_dict(m, "d" * 64, {"p": 0.4}))
+        assert path.read_text(encoding="utf-8") == expected
+        assert read_manifest(path) == m
+
+    def test_non_string_ids_fall_back_to_the_json_encoder(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts, "utc_now", lambda: "2026-01-01T00:00:00+00:00")
+        m = build_nested_subsets([(i, "a" if i % 2 else "b", None) for i in range(6)], [6], seed=1)
+        write_manifest(m, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == dumps_canonical(manifest_to_dict(m))
+
+    def test_pipeline_builds_no_image_record(self, tmp_path, monkeypatch):
+        built = []
+        original = ImageRecord.__post_init__
+        monkeypatch.setattr(ImageRecord, "__post_init__", lambda self: built.append(self) or original(self))
+        m = build_nested_subsets(make_pool(9, 120, groups_per_class=7), [90, 450, 900], seed=3)
+        noisy = inject_label_noise(m, 0.1, seed=4)
+        assert noisy.subset_ids(450) < noisy.subset_ids(900)
+        assert len(restrict_to_size(noisy, 450).records) == 450
+        holdout_split(noisy, 900, 0.2, seed=5)
+        noisy.flipped_ids(90)
+        write_manifest(noisy, tmp_path / "m.json")
+        assert read_manifest(tmp_path / "m.json") == noisy
+        pool = tmp_path / "images.csv"
+        pool.write_text("image_id,class,capture_group\n" + "".join(f"{i},{c},{g or ''}\n" for i, c, g in make_pool(3, 30, 4)))
+        assert cli_main(["manifest", "build", "--images", str(pool), "--sizes", "9,90", "--seed", "1", "--out", str(tmp_path / "c.json")]) == 0
+        assert cli_main(["manifest", "noise", "--in", str(tmp_path / "c.json"), "--p", "0.3", "--seed", "2", "--out", str(tmp_path / "n.json")]) == 0
+        assert built == []
+        assert len(list(noisy.records)) == len(built) == 1080
+
+    def test_cli_counts_flips_from_the_columns(self, tmp_path, capsys):
+        pool = tmp_path / "images.csv"
+        pool.write_text("image_id,class,capture_group\n" + "".join(f"{i},{c},\n" for i, c, _ in make_pool(3, 30)))
+        assert cli_main(["manifest", "build", "--images", str(pool), "--sizes", "90", "--seed", "1", "--out", str(tmp_path / "c.json")]) == 0
+        assert cli_main(["manifest", "noise", "--in", str(tmp_path / "c.json"), "--p", "0.3", "--seed", "2", "--out", str(tmp_path / "n.json")]) == 0
+        noisy = read_manifest(tmp_path / "n.json")
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("(90 records, 3 classes)")
+        assert out[1].endswith(f"({sum(r.noise_flag for r in noisy.records)} of 90 labels flipped)")

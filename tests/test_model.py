@@ -140,6 +140,20 @@ class TestMeasurementSet:
             MeasurementSet.from_rows(rows)
         assert info.value.index == 3
 
+    def test_only_does_not_check_the_rules_again(self, monkeypatch):
+        rows = [("a", 10, 0, 1.0), ("b", 10, 0, 2.0), ("a", 20, 1, 0.5), ("b", 30, 0, 0.25)]
+        mixed = MeasurementSet.from_rows(rows)
+        single = MeasurementSet.from_rows(rows[::2])
+
+        def no_rules(self):
+            raise AssertionError("rules checked again")
+
+        monkeypatch.setattr(MeasurementSet, "__post_init__", no_rules)
+        assert mixed.only("a") == single
+        assert mixed.only("a").points == single.points
+        assert single.only("a") is single
+        assert mixed.only("c").points == ()
+
 
 class TestGroupByN:
     def test_ascending_n_values_in_point_order(self):
