@@ -67,6 +67,9 @@ class PowerLawFit:
     iterations: int | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "c", "rss"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.c > 0:
             raise ParameterError(f"fitted c must be positive, got {self.c}")
         if not self.n_range[0] < self.n_range[1]:
@@ -228,6 +231,7 @@ def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that leaves the float range ends as inf or nan
 def _gauss_newton(
     n: np.ndarray, y: np.ndarray, c0: float, a0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +332,11 @@ def fit_nonlinear(
     c, a, rss, iterations, converged = (
         v[0].item() for v in _gauss_newton(n_arr, y_arr[None, :], c0, a0)
     )
-    ss_tot = float(((y_arr - y_arr.mean()) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss_tot = float(((y_arr - y_arr.mean()) ** 2).sum())
+    if not all(map(math.isfinite, (c, a, rss, ss_tot))):
+        raise NumericError(f"floating-point overflow: the nonlinear fit (c={c!r}, alpha={a!r}, rss={rss!r}) "
+                           "leaves the float range")
     fit = PowerLawFit(
         alpha=a,
         c=c,
@@ -376,6 +384,8 @@ def detect_power_law_region(
     the trailing means flatten: the log-log slope of the last three grid
     points must exceed a quarter of the fitted exponent.
     """
+    if not 0.0 <= r2_threshold <= 1.0:
+        raise ParameterError(f"r2_threshold must lie in [0, 1], got {r2_threshold}")
     grid = ms.distinct_n()
     if len(grid) < 4:
         raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")

@@ -76,28 +76,13 @@ class RecordColumns(NamedTuple):
     noise_flag: list
     class_rank: list
 
-    def coded(self, classes: Sequence[str]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, true, assigned, ranks), labels as indices (from ``len(classes)`` on outside
-        ``classes``); the first image breaking ImageRecord's rules is built to raise its error."""
-        codes = {c: i for i, c in enumerate(dict.fromkeys(classes))}
-        true = np.array([codes.setdefault(x, len(codes)) for x in self.true_label], dtype=np.intp)
-        assigned = np.array([codes.setdefault(x, len(codes)) for x in self.assigned_label], dtype=np.intp)
-        try:
-            ranks = np.array(self.class_rank, dtype=np.intp)
-        except OverflowError:  # kept exact: such a rank only breaks contiguity
-            ranks = np.array(self.class_rank, dtype=object)
-        flags = np.array(self.noise_flag, dtype=bool)
-        broken = np.flatnonzero((flags != (true != assigned)) | (ranks < 0))
-        if broken.size:
-            ImageRecord(*(column[broken[0]] for column in self))
-        return self.image_id, true, assigned, ranks
-
 
 class ManifestRecords(Sequence):
     """A manifest's images as columns in class-then-rank order: ``ids``, the
     image ``counts`` per class and the ``assigned`` label index of each image.
     True labels and ranks follow from positions; reading an item builds its
-    ImageRecord, and a tuple or list compares record by record."""
+    ImageRecord, and a tuple or list compares record by record.  Only this
+    module builds one, from checked columns, so a manifest trusts its images."""
 
     __slots__ = ("classes", "ids", "counts", "assigned", "starts")
 
@@ -150,7 +135,9 @@ class SubsetManifest:
     class count).  ``diagnostics`` records, for classes that carry capture
     groups, how many adjacent same-group pairs remain inside the deepest
     subset after best-effort interleaving.  ``records`` (ImageRecords in
-    any order) is kept as :class:`ManifestRecords`.
+    any order, or a loaded file's :class:`RecordColumns`) is checked and kept
+    as :class:`ManifestRecords`; one with the same classes is trusted, since
+    only this module builds one.
     """
 
     classes: tuple[str, ...]
@@ -162,14 +149,14 @@ class SubsetManifest:
 
     def __post_init__(self):
         records = self.records
-        columnar = isinstance(records, ManifestRecords) and records.classes == tuple(self.classes)
-        if columnar:
-            rows = records.ids, records.labels(), records.assigned, records.ranks()
-        else:
+        trusted = isinstance(records, ManifestRecords) and records.classes == tuple(self.classes)
+        if not trusted:
             if not isinstance(records, RecordColumns):
                 recs = tuple(records)
                 records = RecordColumns(*([getattr(r, f) for r in recs] for f in RecordColumns._fields))
-            rows = records.coded(self.classes)
+            for fields in zip(*records):  # loaded columns have not met ImageRecord's rules yet
+                if fields[3] != (fields[2] != fields[1]) or fields[4] < 0:
+                    ImageRecord(*fields)
         k = len(self.classes)
         if k < 1:
             raise ParameterError("manifest needs at least one class")
@@ -189,44 +176,39 @@ class SubsetManifest:
                 f"largest subset needs {max(self.sizes) // k} images per class, "
                 f"pool depth is {self.per_class_pool}"
             )
-        order, counts = self._check_images(*rows)
-        if not columnar:
-            ids, _, assigned, _ = rows
-            records = ManifestRecords(self.classes, [ids[i] for i in order.tolist()], counts, assigned[order])
-        object.__setattr__(self, "records", records)
-
-    def _check_images(self, ids, true, assigned, ranks) -> tuple[np.ndarray, list[int]]:
-        """Unique ids, labels in the class list, each class's ranks distinct and from 0, and
-        ``per_class_pool`` the smallest class count; a broken rule names the image or class
-        a check image by image, then class by class, stops at.  Returns the class-then-rank
-        order and the class counts."""
-        k, n = len(self.classes), len(ids)
-        order = np.lexsort((ranks, true))
-        label, rank = true[order], ranks[order]
-        repeat = np.zeros(n, dtype=bool)
-        repeat[order[1:][(label[1:] == label[:-1]) & (rank[1:] == rank[:-1])]] = True
-        outside = (true >= k) | (assigned >= k)
-        broken = np.flatnonzero(outside | repeat)
-        first = int(broken[0]) if broken.size else n
-        if len(set(ids)) < n:  # a repeated id at or before ``first`` is reported first
-            firsts: dict = {}
-            repeated = next(i for i, x in enumerate(ids) if firsts.setdefault(x, i) != i)
-            if repeated <= first:
-                raise DataError(f"duplicate image id {ids[repeated]!r}")
-        if first < n:
-            if outside[first]:
-                raise DataError(f"image {ids[first]!r} has a label outside the class list")
-            raise DataError(f"duplicate rank {ranks[first]} in class {self.classes[true[first]]!r}")
-        counts = np.bincount(true, minlength=k)
-        gaps = np.flatnonzero(rank != np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
-        if gaps.size:
-            raise DataError(f"ranks of class {self.classes[label[gaps[0]]]!r} are not contiguous from 0")
-        if counts.min() != self.per_class_pool:
+        if not trusted:
+            records = self._checked(records)
+        if min(records.counts) != self.per_class_pool:
             raise ParameterError(
                 f"per_class_pool={self.per_class_pool} does not match the smallest "
-                f"class count {counts.min()}"
+                f"class count {min(records.counts)}"
             )
-        return order, counts.tolist()
+        object.__setattr__(self, "records", records)
+
+    def _checked(self, cols: RecordColumns) -> ManifestRecords:
+        """Images from outside this module, checked record by record (unique ids, labels in
+        the class list, distinct ranks within a class) and then class by class (ranks
+        contiguous from 0), as columns in class-then-rank order."""
+        code = {c: i for i, c in enumerate(self.classes)}
+        ids, ranks = set(), [set() for _ in self.classes]
+        for image_id, true, assigned, rank in zip(cols.image_id, cols.true_label, cols.assigned_label, cols.class_rank):
+            if image_id in ids:
+                raise DataError(f"duplicate image id {image_id!r}")
+            ids.add(image_id)
+            if true not in code or assigned not in code:
+                raise DataError(f"image {image_id!r} has a label outside the class list")
+            taken = ranks[code[true]]
+            if rank in taken:
+                raise DataError(f"duplicate rank {rank} in class {true!r}")
+            taken.add(rank)
+        counts = [len(taken) for taken in ranks]
+        for cls, taken in zip(self.classes, ranks):
+            if taken != set(range(len(taken))):
+                raise DataError(f"ranks of class {cls!r} are not contiguous from 0")
+        true, assigned = (np.array([code[x] for x in col], dtype=np.intp) for col in cols[1:3])
+        order = np.empty(len(true), dtype=np.intp)  # every rank is now below its class count
+        order[(np.cumsum(counts) - counts)[true] + np.array(cols.class_rank, dtype=np.intp)] = np.arange(len(true))
+        return ManifestRecords(self.classes, [cols.image_id[i] for i in order.tolist()], counts, assigned[order])
 
     @property
     def n_classes(self) -> int:
@@ -306,9 +288,7 @@ def build_nested_subsets(
     """
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
-    sizes = [int(s) for s in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError(f"sizes must be strictly increasing, got {sizes}")
+    sizes = tuple(int(s) for s in sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
     for image_id, class_name, group in images:
@@ -321,12 +301,7 @@ def build_nested_subsets(
 
     classes = tuple(sorted(by_class))
     k = len(classes)
-    if not sizes:
-        raise ParameterError("sizes must be non-empty")
-    for s in sizes:
-        if s % k != 0:
-            raise ParameterError(f"subset size {s} is not divisible by {k} classes")
-    depth = max(sizes) // k
+    depth = max(sizes, default=0) // k  # SubsetManifest holds the size rules
     for cls in classes:
         if len(by_class[cls]) < depth:
             raise DataError(
@@ -347,7 +322,7 @@ def build_nested_subsets(
     return SubsetManifest(
         classes=classes,
         per_class_pool=min(counts),
-        sizes=tuple(sizes),
+        sizes=sizes,
         seed=seed,
         records=ManifestRecords(classes, ids, counts, np.repeat(np.arange(k), counts)),
         diagnostics=diagnostics,

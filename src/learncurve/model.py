@@ -75,7 +75,7 @@ class ThreePhaseModel:
 
     def evaluate(self, n: float) -> float:
         """Loss at sample count ``n`` (clamped power law)."""
-        if n < 1:
+        if not n >= 1:
             raise ParameterError(f"sample count must be >= 1, got {n}")
         return min(max(self.c * float_power(n, self.alpha), self.floor), self.plateau)
 

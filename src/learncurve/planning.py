@@ -66,7 +66,7 @@ class NoiseImpactReport:
 
 def extrapolate(fit: PowerLawFit, n: int) -> LossPrediction:
     """Evaluate the fitted curve at ``n``, marking extrapolation beyond n_range."""
-    if n < 1:
+    if not n >= 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     value = fit.c * float_power(n, fit.alpha)
     outside = not (fit.n_range[0] <= n <= fit.n_range[1])
@@ -81,7 +81,7 @@ def required_sample_size(fit: PowerLawFit, target_loss: float) -> int:
     snapped first so that analytically exact inverses survive floating
     point (the round trip can exceed the target by that same sliver).
     """
-    if target_loss <= 0:
+    if not target_loss > 0:
         raise ParameterError(f"target loss must be positive, got {target_loss}")
     if fit.alpha >= 0:
         raise ParameterError(
@@ -142,7 +142,7 @@ def noise_impact(
             )
     mults = []
     for target in targets:
-        if target <= 0:
+        if not target > 0:
             raise ParameterError(f"target loss must be positive, got {target}")
         n_noisy = float_power(target / fit_noisy.c, 1.0 / fit_noisy.alpha)
         n_clean = float_power(target / fit_clean.c, 1.0 / fit_clean.alpha)

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -474,6 +475,24 @@ BAD_INPUTS = {
     "overflow-needed": lambda t: [
         "needed", "--fit", str(_fit_file(t, alpha=-1e-5, c=1.0)), "--target", "0.5"],
     "overflow-noise-impact": _overflow_noise_impact,
+    "overflow-fit-nonlinear-near-the-float-range": lambda t: [
+        "fit", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,1e300\nm,100,0,1e-300\n"
+                                                 b"m,1000,0,1e300\n")),
+        "--metric", "m", "--method", "nonlinear", "--out", str(t / "o.json")],
+    "non-finite-alpha": lambda t: [
+        "extrapolate", "--fit", str(_fit_file(t, alpha=math.nan)), "--n", "100"],
+    "non-finite-c-extrapolate": lambda t: [
+        "extrapolate", "--fit", str(_fit_file(t, c=math.inf)), "--n", "100"],
+    "non-finite-c-needed": lambda t: [
+        "needed", "--fit", str(_fit_file(t, c=math.inf)), "--target", "0.1"],
+    "non-finite-target": lambda t: [
+        "needed", "--fit", str(_fit_file(t)), "--target", "nan"],
+    "non-finite-targets": lambda t: [
+        "noise-impact", "--clean", str(_fit_file(t)), "--noisy", str(_fit_file(t)), "--targets", "nan"],
+    "non-finite-r2": lambda t: [
+        "region", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,0.5\nm,20,0,0.4\n"
+                                                   b"m,40,0,0.3\nm,80,0,0.2\n")),
+        "--metric", "m", "--r2", "nan", "--out", str(t / "o.json")],
 }
 
 
@@ -499,6 +518,15 @@ class TestBadInputs:
         code, _, err = run(capsys, *argv)
         assert code == 4
         assert err.startswith("error: floating-point overflow: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if c.startswith("non-finite-")))
+    def test_non_finite_parameter_is_a_data_error(self, tmp_path, capsys, case):
+        argv = BAD_INPUTS[case](tmp_path)
+        capsys.readouterr()
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "o.json").exists()
 
     def test_region_on_close_sample_counts_no_longer_overflows(self, tmp_path, capsys):

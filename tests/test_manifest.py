@@ -112,6 +112,24 @@ class TestBuild:
         with pytest.raises(ParameterError):
             build_nested_subsets(make_pool(3, 40), [30, 6], seed=1)
 
+    # SubsetManifest holds the size rules, so an image error comes first.
+    @pytest.mark.parametrize("pool, sizes, error, message", [
+        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [30, 6], DataError,
+         "duplicate image id 'img_00_0000'"),
+        ([], [30, 6], DataError, "no images supplied"),
+        (make_pool(3, 5), [30, 6], DataError,
+         "class 'class0' has only 5 images; the largest subset needs 10 per class"),
+        (make_pool(2, 5), [13], DataError,
+         "class 'class0' has only 5 images; the largest subset needs 6 per class"),
+        (make_pool(3, 40), [30, 6], ParameterError, "sizes must be strictly increasing, got (30, 6)"),
+        (make_pool(2, 5), [-3], ParameterError, "subset sizes must be positive"),
+    ], ids=["duplicate-id", "no-images", "small-class-unsorted", "small-class-indivisible",
+            "sizes-as-tuple", "negative-indivisible"])
+    def test_size_rules_come_after_the_image_rules(self, pool, sizes, error, message):
+        with pytest.raises(error) as info:
+            build_nested_subsets(pool, sizes, seed=1)
+        assert str(info.value) == message
+
 
 class TestInterleave:
     def test_no_adjacent_groups_when_feasible(self):
@@ -372,8 +390,8 @@ image_ids = st.text(alphabet=st.sampled_from(['a', 'Z', '"', '\\', '\n', '\t', '
 
 
 @st.composite
-def manifests(draw):
-    """Small manifests with awkward ids and labels; one class may have no spare image."""
+def built_manifests(draw):
+    """Small built manifests with awkward ids and labels; one class may have no spare image."""
     k = draw(st.integers(2, 4))
     classes = [f"c{i}" + draw(st.sampled_from(["", '"', "\\", "ü", "\x01"])) for i in range(k)]
     depth = draw(st.integers(1, 4))
@@ -385,8 +403,39 @@ def manifests(draw):
             image_id = draw(image_ids) + f"#{ci}.{j}"
             images.append((image_id, cls, draw(st.sampled_from([None, "", "g0", "g1"]))))
     sizes = sorted({k * d for d in draw(st.lists(st.integers(1, depth), min_size=1, max_size=3))})
-    m = build_nested_subsets(images, sizes, seed=draw(st.integers(0, 50)))
+    return build_nested_subsets(images, sizes, seed=draw(st.integers(0, 50)))
+
+
+@st.composite
+def manifests(draw):
+    """Small built manifests with label noise at p in {0, 0.4, 1}."""
+    m = draw(built_manifests())
     return inject_label_noise(m, draw(st.sampled_from([0.0, 0.4, 1.0])), seed=draw(st.integers(0, 50)))
+
+
+@st.composite
+def loaded_records(draw):
+    """Records as a manifest file holds them, in any order, some breaking one rule."""
+    classes = ("a", "b", "c")
+    records = []
+    for cls in classes:
+        for rank in range(draw(st.integers(0, 4))):
+            assigned = draw(st.sampled_from(classes))
+            records.append({"image_id": f"{cls}{rank}", "true_label": cls, "assigned_label": assigned,
+                            "noise_flag": assigned != cls, "class_rank": rank})
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        i = draw(st.integers(0, len(records) - 1))
+        field, value = draw(st.one_of(
+            st.tuples(st.just("image_id"), st.sampled_from([r["image_id"] for r in records])),
+            st.tuples(st.just("true_label"), st.sampled_from(classes + ("z",))),
+            st.tuples(st.just("assigned_label"), st.sampled_from(classes + ("z",))),
+            st.tuples(st.just("class_rank"), st.sampled_from([-1, 0, 1, 2, 5, 2**63, 2**70])),
+            st.tuples(st.just("noise_flag"), st.booleans()),
+        ))
+        rec = records[i] = {**records[i], field: value}
+        if field.endswith("_label") and draw(st.booleans()):  # half the time, keep the flag in step
+            rec["noise_flag"] = rec["assigned_label"] != rec["true_label"]
+    return classes, [records[i] for i in draw(st.permutations(range(len(records))))]
 
 
 class TestColumns:
@@ -451,6 +500,28 @@ class TestColumns:
         d["records"][1]["noise_flag"] = True
         with pytest.raises(ParameterError, match=f"noise_flag must mirror a label change \\(image '{d['records'][1]['image_id']}'\\)"):
             manifest_from_dict(d)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(loaded=loaded_records(), pool=st.integers(1, 4))
+    def test_loaded_records_raise_what_the_reference_raises(self, loaded, pool):
+        classes, records = loaded
+
+        def reference():
+            fields = ("image_id", "true_label", "assigned_label", "noise_flag", "class_rank")
+            recs = [ImageRecord(*(r[f] for f in fields)) for r in records]
+            reference_image_rules(classes, pool, recs)
+
+        d = {"classes": list(classes), "per_class_pool": pool, "sizes": [3], "seed": 0, "records": records}
+        assert outcome(manifest_from_dict, d) == outcome(reference)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(m=built_manifests(), p=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 50))
+    def test_derived_manifests_meet_the_image_rules(self, m, p, seed):
+        # Derived manifests are not re-checked: this is what makes that safe.
+        noisy = inject_label_noise(m, p, seed)
+        derived = [m, noisy, *(restrict_to_size(x, s) for x in (m, noisy) for s in m.sizes)]
+        for x in derived:
+            reference_image_rules(x.classes, x.per_class_pool, tuple(x.records))
 
     def test_loaded_records_in_any_order(self):
         m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)

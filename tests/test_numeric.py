@@ -1,5 +1,6 @@
 """Numeric failures are library errors: extreme but legal inputs raise only ToolkitError."""
 
+import math
 import sys
 
 import pytest
@@ -76,11 +77,50 @@ class TestReproductions:
         with pytest.raises(NumericError):
             ThreePhaseModel(alpha=-0.5, c=1.0, plateau=2.0).evaluate(2**1100)
 
+    def test_nonlinear_fit_near_the_float_range_is_numeric(self, recwarn):
+        ms = MeasurementSet.from_rows([("m", 10, 0, 1e300), ("m", 100, 0, 1e-300), ("m", 1000, 0, 1e300)])
+        with pytest.raises(NumericError, match="^floating-point overflow: the nonlinear fit "):
+            fit_nonlinear(ms)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_nonlinear_fit_whose_total_sum_of_squares_overflows_is_numeric(self):
+        # An exact power law: the fit is finite, but 1 - rss / ss_tot used to read 1.0.
+        ms = MeasurementSet.from_rows([("m", 10, 0, 1e160), ("m", 100, 0, 1e80), ("m", 1000, 0, 1.0)])
+        with pytest.raises(NumericError, match="^floating-point overflow: the nonlinear fit "):
+            fit_nonlinear(ms)
+
     def test_numbers_are_unchanged(self):
         assert extrapolate(make_fit(-0.5, 2.0), 100).value == 2.0 * 100.0**-0.5
         assert required_sample_size(make_fit(-0.5, 2.0), 0.2) == 100
         report = noise_impact(make_fit(-0.5, 2.0), make_fit(-0.25, 2.0), [0.2])
         assert report.multipliers == ((0.2, (0.2 / 2.0) ** (1 / -0.25) / (0.2 / 2.0) ** (1 / -0.5)),)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("field", ["alpha", "c", "rss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fit_fields_must_be_finite(self, field, value):
+        kwargs = {"alpha": -0.5, "c": 1.0, "rss": 0.0, **{field: value}}
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got "):
+            PowerLawFit(method="loglog", n_range=(1, 2), r_squared=None, **kwargs)
+
+    def test_nan_sample_count_is_refused(self):
+        with pytest.raises(ParameterError, match="sample count must be >= 1, got nan"):
+            extrapolate(make_fit(-0.5, 1.0), math.nan)
+        with pytest.raises(ParameterError, match="sample count must be >= 1, got nan"):
+            ThreePhaseModel(alpha=-0.5, c=1.0, plateau=2.0).evaluate(math.nan)
+
+    def test_nan_target_is_refused(self):
+        with pytest.raises(ParameterError, match="target loss must be positive, got nan"):
+            required_sample_size(make_fit(-0.5, 1.0), math.nan)
+        with pytest.raises(ParameterError, match="target loss must be positive, got nan"):
+            noise_impact(make_fit(-0.5, 1.0), make_fit(-0.25, 1.0), [0.1, math.nan])
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.1, 1.5])
+    def test_r2_threshold_outside_the_unit_interval_is_refused(self, threshold):
+        ms = MeasurementSet.from_rows([("m", n, 0, n**-0.5) for n in (10, 20, 40, 80)])
+        with pytest.raises(ParameterError, match="r2_threshold must lie in \\[0, 1\\]"):
+            detect_power_law_region(ms, r2_threshold=threshold)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
