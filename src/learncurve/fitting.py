@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .model import Measurement, MeasurementSet, aggregate, float_power, group_by_n
+from .model import Measurement, MeasurementSet, float_power, group_by_n, window
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
@@ -110,27 +110,18 @@ class Discrepancy(NamedTuple):
     c: float
 
 
-def _select(ms: MeasurementSet, n_min, n_max) -> list[Measurement]:
-    """Points of a single-metric set within [n_min, n_max], >= 2 distinct N."""
-    if len(ms) == 0:
-        raise InsufficientDataError("measurement set is empty")
-    metrics = ms.metrics()
-    if len(metrics) != 1:
-        raise ParameterError(f"fitting expects a single metric, got {metrics}; use only()")
-    lo = -math.inf if n_min is None else n_min
-    hi = math.inf if n_max is None else n_max
-    pts = [p for p in ms if lo <= p.n <= hi]
-    distinct = {p.n for p in pts}
-    if len(distinct) < 2:
+def _select(ms: MeasurementSet, n_min, n_max) -> tuple[list[Measurement], list[tuple[int, np.ndarray]]]:
+    """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N."""
+    pts, groups = window(ms, n_min, n_max)
+    if len(groups) < 2:
         raise InsufficientDataError(
-            f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {len(distinct)}"
+            f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {len(groups)}"
         )
-    return pts
+    return pts, groups
 
 
-def _xy(pts: list[Measurement], on_means: bool) -> tuple[np.ndarray, np.ndarray]:
+def _xy(pts: list[Measurement], groups, on_means: bool) -> tuple[np.ndarray, np.ndarray]:
     if on_means:
-        groups = group_by_n(pts)
         return (
             np.asarray([n for n, _ in groups], dtype=float),
             np.asarray([vals.mean() for _, vals in groups], dtype=float),
@@ -199,16 +190,15 @@ def fit_loglog(
     point per distinct N enters the regression; otherwise every replicate
     is its own point.  All values in the window must be strictly positive.
     """
-    pts = _select(ms, n_min, n_max)
+    pts, groups = _select(ms, n_min, n_max)
     _require_positive(pts)
-    n_arr, y_arr = _xy(pts, on_means)
+    n_arr, y_arr = _xy(pts, groups, on_means)
     alpha, log_c, rss, r_squared = _loglog_line(np.log(n_arr), np.log(y_arr))
-    used = [p.n for p in pts]
     return PowerLawFit(
         alpha=alpha,
         c=_exp_c(log_c),
         method=LOGLOG,
-        n_range=(min(used), max(used)),
+        n_range=(groups[0][0], groups[-1][0]),
         rss=rss,
         r_squared=r_squared,
     )
@@ -311,22 +301,20 @@ def fit_nonlinear(
     here but have no logarithm).  Raises :class:`NonConvergenceError`
     carrying the last iterate if 200 iterations do not converge.
     """
-    pts = _select(ms, n_min, n_max)
-    n_arr, y_arr = _xy(pts, on_means)
-    used = [p.n for p in pts]
-    n_range = (min(used), max(used))
+    pts, groups = _select(ms, n_min, n_max)
+    n_arr, y_arr = _xy(pts, groups, on_means)
 
     if init is not None:
         c0, a0 = init.c, init.alpha
     else:
         pos = [p for p in pts if p.value > 0.0]
-        if len({p.n for p in pos}) < 2:
+        pos_groups = group_by_n(pos)
+        if len(pos_groups) < 2:
             raise InsufficientDataError(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
             )
-        pn, py = (n_arr, y_arr) if len(pos) == len(pts) else _xy(pos, on_means)
-        a0, log_c0 = _ols(np.log(pn), np.log(py))
+        a0, log_c0 = _ols(*map(np.log, _xy(pos, pos_groups, on_means)))
         c0 = _exp_c(log_c0)
 
     c, a, rss, iterations, converged = (
@@ -341,7 +329,7 @@ def fit_nonlinear(
         alpha=a,
         c=c,
         method=NONLINEAR,
-        n_range=n_range,
+        n_range=(groups[0][0], groups[-1][0]),
         rss=rss,
         r_squared=_r_squared(rss, ss_tot),
         iterations=iterations,
@@ -389,9 +377,10 @@ def detect_power_law_region(
     grid = ms.distinct_n()
     if len(grid) < 4:
         raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")
-    means = [row.mean for row in aggregate(ms)]
-    _require_positive(ms)
-    log_n, log_mean = np.log(np.asarray(grid, dtype=float)), np.log(np.asarray(means))
+    pts, groups = window(ms)
+    _require_positive(pts)
+    n_arr, means = _xy(pts, groups, True)
+    log_n, log_mean = np.log(n_arr), np.log(means)
 
     diagnostics: dict[int, float | None] = {}
     start = None
@@ -442,12 +431,9 @@ def bootstrap_ci(
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
-    if method == LOGLOG:
-        base = fit_loglog(ms, n_min, n_max, on_means=on_means)
-    else:
-        base = fit_nonlinear(ms, n_min, n_max, on_means=on_means)
+    base = (fit_loglog if method == LOGLOG else fit_nonlinear)(ms, n_min, n_max, on_means=on_means)
 
-    groups = group_by_n(sorted(_select(ms, n_min, n_max), key=lambda p: p.replicate))
+    groups = group_by_n(sorted(window(ms, n_min, n_max)[0], key=lambda p: p.replicate))
     for n, vals in groups:
         if vals.size < 2:
             raise InsufficientDataError(

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, InsufficientDataError, NumericError, ParameterError
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -179,19 +179,25 @@ def group_by_n(points: Iterable[Measurement]) -> list[tuple[int, np.ndarray]]:
     return [(n, np.asarray(by_n[n], dtype=float)) for n in sorted(by_n)]
 
 
+def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[list[Measurement], list[tuple[int, np.ndarray]]]:
+    """Points of a non-empty, single-metric set with N in [n_min, n_max], and their groups."""
+    if len(ms) == 0:
+        raise InsufficientDataError("measurement set is empty")
+    metrics = ms.metrics()
+    if len(metrics) != 1:
+        raise ParameterError(f"expected a single metric, got {metrics}; use only()")
+    pts = [p for p in ms if (n_min is None or n_min <= p.n) and (n_max is None or p.n <= n_max)]
+    return pts, group_by_n(pts)
+
+
 def aggregate(ms: MeasurementSet) -> list[AggregateRow]:
     """Per-N mean and sample standard deviation (divisor count-1), ascending N.
 
     Mirrors the usual mean +/- one-standard-deviation presentation of
     repeated training runs.  Requires a non-empty, single-metric set.
     """
-    if len(ms) == 0:
-        raise DataError("cannot aggregate an empty measurement set")
-    metrics = ms.metrics()
-    if len(metrics) != 1:
-        raise ParameterError(f"aggregate expects a single metric, got {metrics}; use only()")
     rows = []
-    for n, vals in group_by_n(ms):
+    for n, vals in window(ms)[1]:
         std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         rows.append(AggregateRow(n, float(vals.mean()), std, int(vals.size)))
     return rows
