@@ -223,7 +223,7 @@ def _cmd_report(args) -> int:
     ms = read_measurements(args.input)
     fits = [load_fit_artifact(p) for p in args.fits] if args.fits else []
     region = load_artifact(args.region, "region") if args.region else None
-    out, sidecar = write_report(ms, fits, region, args.out)
+    out, sidecar = write_report(ms, fits, region, args.out, (args.input, *args.fits, *filter(None, [args.region])))
     _say(f"wrote {out} and {sidecar}")
     return EXIT_OK
 

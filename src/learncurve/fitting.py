@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .model import Measurement, MeasurementSet, float_power, group_by_n, window
+from .model import Measurement, MeasurementSet, float_power, group_by_n, group_means, require_finite, window
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
@@ -78,6 +78,8 @@ class PowerLawFit:
             raise ParameterError(f"rss must be non-negative, got {self.rss}")
         if self.r_squared is not None and not 0.0 <= self.r_squared <= 1.0:
             raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared}")
+        if self.ci_alpha is not None and not -math.inf < self.ci_alpha[0] <= self.ci_alpha[1] < math.inf:
+            raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {self.ci_alpha}")
 
     def predict(self, n: float) -> float:
         return self.c * float_power(n, self.alpha)
@@ -122,16 +124,14 @@ def _select(ms: MeasurementSet, n_min, n_max) -> tuple[list[Measurement], list[t
 
 def _xy(pts: list[Measurement], groups, on_means: bool) -> tuple[np.ndarray, np.ndarray]:
     if on_means:
-        return (
-            np.asarray([n for n, _ in groups], dtype=float),
-            np.asarray([vals.mean() for _, vals in groups], dtype=float),
-        )
+        return np.asarray([n for n, _ in groups], dtype=float), group_means(groups)
     return (
         np.asarray([p.n for p in pts], dtype=float),
         np.asarray([p.value for p in pts], dtype=float),
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # sample counts equal in log space give a nan slope
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares lines y = intercept + slope*x along the last axis of ``y``.
 
@@ -155,7 +155,7 @@ def _exp_c(log_c: float) -> float:
 
 
 def _r_squared(rss: float, ss_tot: float) -> float | None:
-    if ss_tot == 0.0:
+    if ss_tot == 0.0 or math.isnan(rss):
         return None
     return min(max(1.0 - rss / ss_tot, 0.0), 1.0)
 
@@ -322,9 +322,7 @@ def fit_nonlinear(
     )
     with np.errstate(over="ignore", invalid="ignore"):
         ss_tot = float(((y_arr - y_arr.mean()) ** 2).sum())
-    if not all(map(math.isfinite, (c, a, rss, ss_tot))):
-        raise NumericError(f"floating-point overflow: the nonlinear fit (c={c!r}, alpha={a!r}, rss={rss!r}) "
-                           "leaves the float range")
+    require_finite([c, a, rss, ss_tot], f"the nonlinear fit (c={c!r}, alpha={a!r}, rss={rss!r})")
     fit = PowerLawFit(
         alpha=a,
         c=c,
@@ -461,7 +459,9 @@ def bootstrap_ci(
             rng.random(out=row)
         y = values[group_start + (block * group_size).astype(np.intp)]
         if on_means:
-            y = np.stack([y[:, lo:hi].mean(axis=1) for lo, hi in zip(offsets, offsets[1:])], axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = np.stack([y[:, lo:hi].mean(axis=1) for lo, hi in zip(offsets, offsets[1:])], axis=1)
+            require_finite(y, "a resampled per-N mean")
         if method == LOGLOG:
             alphas.append(_ols(log_x, np.log(y))[0])
         else:
@@ -474,5 +474,5 @@ def bootstrap_ci(
         )
 
     lo_q = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(np.concatenate(alphas), [lo_q, 1.0 - lo_q])
+    lo, hi = require_finite(np.quantile(np.concatenate(alphas), [lo_q, 1.0 - lo_q]), "the bootstrap interval")
     return dataclasses.replace(base, ci_alpha=(float(lo), float(hi)))

@@ -190,17 +190,31 @@ def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[list[Measurement
     return pts, group_by_n(pts)
 
 
+def require_finite(values, what: str):
+    """``values``; NumericError when one of them overflowed to inf or nan."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"floating-point overflow: {what} leaves the float range")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError instead
+def group_means(groups: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Mean of each group's values."""
+    return require_finite(np.asarray([vals.mean() for _, vals in groups], dtype=float), "a per-N mean")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError instead
 def aggregate(ms: MeasurementSet) -> list[AggregateRow]:
     """Per-N mean and sample standard deviation (divisor count-1), ascending N.
 
     Mirrors the usual mean +/- one-standard-deviation presentation of
     repeated training runs.  Requires a non-empty, single-metric set.
     """
-    rows = []
-    for n, vals in window(ms)[1]:
-        std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-        rows.append(AggregateRow(n, float(vals.mean()), std, int(vals.size)))
-    return rows
+    groups = window(ms)[1]
+    means = group_means(groups)
+    stds = [float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0 for _, vals in groups]
+    require_finite(stds, "a per-N standard deviation")
+    return [AggregateRow(n, float(mean), std, int(vals.size)) for (n, vals), mean, std in zip(groups, means, stds)]
 
 
 def synth_curve(
@@ -229,8 +243,8 @@ def synth_curve(
         raise ParameterError(f"sizes must be strictly increasing, got {sizes}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma}")
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 

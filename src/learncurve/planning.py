@@ -21,6 +21,8 @@ from .model import float_power
 # Tolerance for snapping an analytically integral sample size back onto
 # the integer before taking the ceiling.
 _CEIL_SNAP = 1e-9
+# Exponents at most this far apart make parallel curves, which never cross.
+PARALLEL_ALPHA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,7 @@ def required_sample_size(fit: PowerLawFit, target_loss: float) -> int:
     return max(n, 1)
 
 
-def predict_intersection(
-    fit_a: PowerLawFit, fit_b: PowerLawFit, alpha_tol: float = 1e-9
-) -> Intersection:
+def predict_intersection(fit_a: PowerLawFit, fit_b: PowerLawFit) -> Intersection:
     """Unique crossing of two fitted power laws.
 
     Solves ``c_a * N**alpha_a = c_b * N**alpha_b`` for N.  The operands are
@@ -104,9 +104,9 @@ def predict_intersection(
     reported as superior: it has the lower loss for every N beyond the
     crossing.
     """
-    if abs(fit_a.alpha - fit_b.alpha) <= alpha_tol:
+    if abs(fit_a.alpha - fit_b.alpha) <= PARALLEL_ALPHA_TOL:
         raise ParallelCurvesError(
-            f"exponents {fit_a.alpha} and {fit_b.alpha} are equal within {alpha_tol}; "
+            f"exponents {fit_a.alpha} and {fit_b.alpha} are equal within {PARALLEL_ALPHA_TOL}; "
             "the curves are parallel or identical"
         )
     lo, hi = sorted((fit_a, fit_b), key=lambda f: (f.alpha, f.c))

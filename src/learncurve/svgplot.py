@@ -11,10 +11,11 @@ identical bytes.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 from .artifacts import FitArtifact, format_float, write_files
-from .errors import DataError, ParallelCurvesError
+from .errors import DataError, NumericError, ParallelCurvesError
 from .fitting import RegionSegmentation
 from .model import MeasurementSet, aggregate
 from .planning import predict_intersection
@@ -36,16 +37,21 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _log10_range(lo, hi) -> tuple[float, float]:
+    """log10 of the axis range [lo, hi], widened to [lo / 2, hi * 2] where the logs coincide."""
+    if not 0 < lo <= hi < math.inf:
+        raise NumericError(f"floating-point {'overflow' if lo else 'underflow'}: "
+                           f"the plot range [{lo!r}, {hi!r}] leaves the float range")
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    return (log_lo, log_hi) if log_lo < log_hi else _log10_range(lo / 2, hi * 2)
+
+
 class _LogLogFrame:
     """Maps (n, value) through log10 into pixel coordinates."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        if x_lo == x_hi:
-            x_lo, x_hi = x_lo / 2, x_hi * 2
-        if y_lo == y_hi:
-            y_lo, y_hi = y_lo / 2, y_hi * 2
-        self.x_lo, self.x_hi = math.log10(x_lo), math.log10(x_hi)
-        self.y_lo, self.y_hi = math.log10(y_lo), math.log10(y_hi)
+        self.x_lo, self.x_hi = _log10_range(x_lo, x_hi)
+        self.y_lo, self.y_hi = _log10_range(y_lo, y_hi)
         self.plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         self.plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -226,17 +232,19 @@ def write_report(
     fits: list[FitArtifact],
     region: RegionSegmentation | None,
     path: str | Path,
-    sidecar_path: str | Path | None = None,
+    inputs: tuple[str | Path, ...] = (),
 ) -> tuple[Path, Path]:
-    """Write the SVG report and its sidecar table (default: ``path`` with a
-    ``.csv`` suffix).  Both contents are written in full before either target
-    is replaced, so neither is ever truncated or half-written; but the two
-    renames are separate, and a failure on the second leaves the new SVG
-    next to the old sidecar."""
+    """Write the SVG report and its sidecar table (``path`` with a ``.csv``
+    suffix); neither may replace one of the ``inputs`` files.  Both contents
+    are written in full before either target is replaced, so neither is ever
+    truncated or half-written; but the two renames are separate, and a
+    failure on the second leaves the new SVG next to the old sidecar."""
     svg, table = build_report(ms, fits, region)
     out = Path(path)
-    sidecar = Path(sidecar_path) if sidecar_path is not None else out.with_suffix(".csv")
+    sidecar = out.with_suffix(".csv")
     if sidecar == out:
         raise DataError(f"{out}: the report and its sidecar table would share this path")
+    if any(target.exists() and os.path.samefile(target, p) for target in (out, sidecar) for p in inputs):
+        raise DataError(f"{out}: the report or its sidecar {sidecar.name} would replace one of its inputs")
     write_files((out, svg), (sidecar, table))
     return out, sidecar

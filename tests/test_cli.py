@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from learncurve import artifacts
+from learncurve import artifacts, fit_loglog
 from learncurve.cli import main
 
 
@@ -440,6 +440,22 @@ def _overflow_noise_impact(tmp_path):
     return ["noise-impact", "--clean", str(clean), "--noisy", str(noisy), "--targets", "0.5"]
 
 
+# Two replicates each at N = 10, 100, 1000, 10000; the two at N = 10 sum past the float range.
+PER_N_MEAN_OVERFLOW = (b"metric,n,replicate,value\nm,10,0,1.6e308\nm,10,1,1.6e308\nm,100,0,1\nm,100,1,1\n"
+                       b"m,1000,0,0.5\nm,1000,1,0.5\nm,10000,0,0.2\nm,10000,1,0.2\n")
+
+
+def _fit_with_ci(tmp_path, ci):
+    """A fit artifact whose ci_alpha is ``ci``, written as Python's json writes NaN and Infinity."""
+    return _fit_file(tmp_path, ci_alpha=list(ci))
+
+
+def _report_over_input(tmp_path):
+    csv = tmp_path / "data.csv"
+    assert main(synth_args(csv)) == 0
+    return ["report", "--input", str(csv), "--out", str(tmp_path / "data.svg")]
+
+
 # Each case builds its inputs in tmp_path and returns the failing command line.
 BAD_INPUTS = {
     "fit-without-fields": lambda t: [
@@ -493,6 +509,29 @@ BAD_INPUTS = {
         "region", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,0.5\nm,20,0,0.4\n"
                                                    b"m,40,0,0.3\nm,80,0,0.2\n")),
         "--metric", "m", "--r2", "nan", "--out", str(t / "o.json")],
+    "overflow-region-per-n-mean": lambda t: [
+        "region", "--input", str(_file(t, "d.csv", PER_N_MEAN_OVERFLOW)), "--metric", "m", "--out", str(t / "o.json")],
+    "overflow-fit-loglog-per-n-mean": lambda t: [
+        "fit", "--input", str(_file(t, "d.csv", PER_N_MEAN_OVERFLOW)), "--metric", "m", "--method", "loglog",
+        "--out", str(t / "o.json")],
+    "overflow-report-per-n-std": lambda t: [
+        "report", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,1e200\nm,10,1,3e200\n"
+                                                   b"m,100,0,1\nm,100,1,2\nm,1000,0,0.5\nm,1000,1,0.6\n"
+                                                   b"m,10000,0,0.2\nm,10000,1,0.3\n")),
+        "--out", str(t / "o.svg")],
+    "overflow-report-plot-range": lambda t: [
+        "report", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,8.99e307\nm,100,0,8.99e307\n")),
+        "--out", str(t / "o.svg")],
+    "report-over-its-input": _report_over_input,
+    "non-finite-ci-alpha-extrapolate": lambda t: [
+        "extrapolate", "--fit", str(_fit_with_ci(t, (math.nan, math.inf))), "--n", "100"],
+    "non-finite-ci-alpha-report": lambda t: [
+        "report", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\ntop1_error,900,0,0.5\n")),
+        "--fits", str(_fit_with_ci(t, (math.nan, math.nan))), "--out", str(t / "o.svg")],
+    "reversed-ci-alpha": lambda t: [
+        "extrapolate", "--fit", str(_fit_with_ci(t, (0.5, -0.5))), "--n", "100"],
+    "non-finite-sigma-nan": lambda t: synth_args(t / "o.json", sigma="nan"),
+    "non-finite-sigma-inf": lambda t: synth_args(t / "o.json", sigma="inf"),
 }
 
 
@@ -529,6 +568,29 @@ class TestBadInputs:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("case", ["non-finite-ci-alpha-extrapolate", "non-finite-ci-alpha-report",
+                                      "reversed-ci-alpha"])
+    def test_bad_interval_is_a_malformed_artifact(self, tmp_path, capsys, case):
+        code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+        assert code == 3
+        assert "fit.json: malformed fit artifact (ParameterError: ci_alpha must be a finite (lo, hi) with lo <= hi" in err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_names_the_parameter(self, tmp_path, capsys, sigma):
+        code, _, err = run(capsys, *BAD_INPUTS[f"non-finite-sigma-{sigma}"](tmp_path))
+        assert (code, err) == (3, f"error: noise_sigma must be a finite float >= 0, got {sigma}\n")
+
+    @pytest.mark.parametrize("case", ["overflow-region-per-n-mean", "overflow-fit-loglog-per-n-mean"])
+    def test_per_n_mean_overflow_names_the_mean(self, tmp_path, capsys, case):
+        code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+        assert (code, err) == (4, "error: floating-point overflow: a per-N mean leaves the float range\n")
+
+    def test_report_on_equal_logs_draws(self, tmp_path, capsys):
+        csv = _file(tmp_path, "d.csv", b"metric,n,replicate,value\nm,10,0,1e10\nm,100,0,10000000000.000002\n")
+        code, _, err = run(capsys, "report", "--input", str(csv), "--out", str(tmp_path / "p.svg"))
+        assert (code, err) == (0, "")
+        ET.fromstring((tmp_path / "p.svg").read_text())
+
     def test_region_on_close_sample_counts_no_longer_overflows(self, tmp_path, capsys):
         # The last two sizes alone give a line whose exp(log c) overflows;
         # region detection needs only its slope and r-squared.
@@ -548,6 +610,54 @@ class TestBadInputs:
         assert (code, err) == (0, "")
         assert stdout == f"wrote {tmp_path}/d\\udcff.csv (35 points)\n"
         assert out.exists()
+
+
+class TestReportKeepsItsInputs:
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        csv, fit, region = tmp_path / "data.csv", tmp_path / "fit.json", tmp_path / "region.json"
+        assert main(synth_args(csv, sigma="0.05")) == 0
+        assert main(["fit", "--input", str(csv), "--metric", "top1_error", "--method", "loglog",
+                     "--out", str(fit)]) == 0
+        assert main(["region", "--input", str(csv), "--metric", "top1_error", "--out", str(region)]) == 0
+        capsys.readouterr()
+        return csv, fit, region
+
+    @pytest.mark.parametrize("out", ["data.svg", "fit.json", "region.json", "link.svg"])
+    def test_refused_with_every_input_untouched(self, tmp_path, capsys, inputs, out):
+        csv, fit, region = inputs
+        (tmp_path / "link.csv").symlink_to(region)
+        before = {p: p.read_bytes() for p in inputs}
+        code, _, err = run(capsys, "report", "--input", str(csv), "--fits", str(fit), "--region", str(region),
+                           "--out", str(tmp_path / out))
+        assert code == 3
+        assert err.endswith("would replace one of its inputs\n") and len(err.splitlines()) == 1
+        assert {p: p.read_bytes() for p in inputs} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "fit.json", "link.csv", "region.json"]
+
+
+class TestOnMeansFlag:
+    @pytest.mark.parametrize("text, on_means", [("false", False), ("0", False), ("no", False),
+                                                ("True", True), ("yes", True)])
+    def test_value_reaches_the_params_and_the_fit(self, tmp_path, capsys, text, on_means):
+        csv, out = tmp_path / "d.csv", tmp_path / "f.json"
+        assert main(synth_args(csv, sigma="0.05")) == 0
+        code, _, err = run(capsys, "fit", "--input", str(csv), "--metric", "top1_error", "--method", "loglog",
+                           "--on-means", text, "--out", str(out))
+        assert (code, err) == (0, "")
+        doc = json.loads(out.read_text())
+        ms = artifacts.read_measurements(csv)
+        assert doc["params"]["on_means"] is on_means
+        assert doc["alpha"] == fit_loglog(ms, on_means=on_means).alpha
+        assert doc["alpha"] != fit_loglog(ms, on_means=not on_means).alpha
+
+    def test_other_words_are_a_usage_error(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path / "d.csv")) == 0
+        code, _, err = run(capsys, "fit", "--input", str(tmp_path / "d.csv"), "--metric", "top1_error",
+                           "--on-means", "maybe", "--out", str(tmp_path / "f.json"))
+        assert code == 2
+        assert "expected a boolean, got 'maybe'" in err
+        assert not (tmp_path / "f.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -359,6 +359,35 @@ class TestBootstrap:
         with pytest.raises(ParameterError):
             bootstrap_ci(ms, args.pop("method"), **args)
 
+    @staticmethod
+    def fail_refits(monkeypatch, k):
+        """Make the first ``k`` bootstrap refits fail; one-row solves (the base fit) stay as they are."""
+        solve = fitting._gauss_newton
+
+        def failing(n, y, c0, a0):
+            c, a, rss, iterations, converged = solve(n, y, c0, a0)
+            if len(y) > 1:
+                converged[:k] = False
+            return c, a, rss, iterations, converged
+
+        monkeypatch.setattr(fitting, "_gauss_newton", failing)
+
+    def test_refits_failing_on_half_the_draws_are_left_out(self, monkeypatch):
+        ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        full = bootstrap_ci(ms, "nonlinear", draws=40, seed=10)
+        self.fail_refits(monkeypatch, 20)
+        fit = bootstrap_ci(ms, "nonlinear", draws=40, seed=10)  # one block of 40 rows
+        assert dataclasses.replace(fit, ci_alpha=None) == dataclasses.replace(full, ci_alpha=None)
+        assert fit.ci_alpha != full.ci_alpha
+
+    def test_refits_failing_on_more_than_half_the_draws_raise(self, monkeypatch):
+        ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        base = fit_nonlinear(ms)
+        self.fail_refits(monkeypatch, 21)
+        with pytest.raises(NonConvergenceError, match="^bootstrap refit failed on 21 of 40 draws$") as info:
+            bootstrap_ci(ms, "nonlinear", draws=40, seed=10)
+        assert info.value.last_fit == base
+
 
 # ---------------------------------------------------------------------------
 # The batched bootstrap against the per-draw refits it replaced

@@ -9,15 +9,17 @@ from learncurve import (
     CROSS_ENTROPY,
     TOP1_ERROR,
     DataError,
+    InsufficientDataError,
     Measurement,
     MeasurementSet,
+    NumericError,
     ParameterError,
     ThreePhaseModel,
     aggregate,
     random_guess_plateau,
     synth_curve,
 )
-from learncurve.model import group_by_n
+from learncurve.model import group_by_n, window
 
 
 def _random_model(rng):
@@ -190,6 +192,55 @@ class TestAggregate:
             aggregate(ms)
 
 
+class TestWindow:
+    MS = MeasurementSet.from_rows(
+        [("m", 900, 1, 0.2), ("m", 90, 3, 0.8), ("m", 300, 0, 0.4), ("m", 900, 0, 0.3), ("m", 90, 1, 0.7)]
+    )
+
+    def test_points_in_range_keep_the_set_order(self):
+        pts, groups = window(self.MS, 300, 900)
+        assert pts == [self.MS.points[0], self.MS.points[2], self.MS.points[3]]
+        assert [(n, vals.tolist()) for n, vals in groups] == [(300, [0.4]), (900, [0.2, 0.3])]
+
+    def test_open_bounds_take_every_point(self):
+        pts, groups = window(self.MS)
+        assert pts == list(self.MS.points)
+        assert [n for n, _ in groups] == [90, 300, 900]
+        assert [n for n, _ in window(self.MS, n_min=300)[1]] == [300, 900]
+        assert [n for n, _ in window(self.MS, n_max=300)[1]] == [90, 300]
+
+    def test_a_range_without_points_is_an_empty_window(self):
+        assert window(self.MS, 1000, 2000) == ([], [])
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(InsufficientDataError, match="^measurement set is empty$"):
+            window(MeasurementSet(()))
+
+    def test_mixed_metrics_rejected_with_one_message(self):
+        ms = MeasurementSet.from_rows([("a", 10, 0, 1.0), ("b", 10, 0, 2.0)])
+        message = r"^expected a single metric, got \['a', 'b'\]; use only\(\)$"
+        with pytest.raises(ParameterError, match=message):
+            window(ms)
+        with pytest.raises(ParameterError, match=message):
+            aggregate(ms)
+
+
+class TestAggregateOverflow:
+    def test_per_n_mean_that_overflows_is_numeric(self):
+        ms = MeasurementSet.from_rows([("m", 10, 0, 1.6e308), ("m", 10, 1, 1.6e308), ("m", 100, 0, 1.0)])
+        with pytest.raises(NumericError, match="^floating-point overflow: a per-N mean leaves the float range$"):
+            aggregate(ms)
+
+    def test_per_n_std_that_overflows_is_numeric(self):
+        ms = MeasurementSet.from_rows([("m", 10, 0, 1e200), ("m", 10, 1, 3e200), ("m", 100, 0, 1.0)])
+        with pytest.raises(NumericError, match="^floating-point overflow: a per-N standard deviation "):
+            aggregate(ms)
+
+    def test_values_near_the_float_range_still_aggregate(self):
+        ms = MeasurementSet.from_rows([("m", 10, 0, 8e307), ("m", 10, 1, 8e307), ("m", 100, 0, 1e154)])
+        assert aggregate(ms) == [(10, 8e307, 0.0, 2), (100, 1e154, 0.0, 1)]
+
+
 class TestSynthCurve:
     MODEL = ThreePhaseModel(alpha=-0.58, c=900**0.58, plateau=10.0, floor=0.0)
     SIZES = [900, 1800, 3600, 9000, 22500, 45000, 90000]
@@ -244,3 +295,8 @@ class TestSynthCurve:
         args.update(kwargs)
         with pytest.raises(ParameterError):
             synth_curve(self.MODEL, **args)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ParameterError, match=f"^noise_sigma must be a finite float >= 0, got {sigma}$"):
+            synth_curve(self.MODEL, [10, 20], 2, sigma, seed=1)

@@ -14,6 +14,7 @@ from learncurve import (
     PowerLawFit,
     ThreePhaseModel,
     ToolkitError,
+    aggregate,
     bootstrap_ci,
     detect_power_law_region,
     extrapolate,
@@ -23,6 +24,7 @@ from learncurve import (
     predict_intersection,
     required_sample_size,
 )
+from learncurve.svgplot import build_report
 
 FLOAT_MAX = sys.float_info.max
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -89,6 +91,39 @@ class TestReproductions:
         with pytest.raises(NumericError, match="^floating-point overflow: the nonlinear fit "):
             fit_nonlinear(ms)
 
+    def test_per_n_mean_that_overflows_is_numeric(self):
+        ms = MeasurementSet.from_rows(
+            [("m", 10, r, 1.6e308) for r in (0, 1)]
+            + [("m", n, r, v) for n, v in ((100, 1.0), (1000, 0.5), (10000, 0.2)) for r in (0, 1)]
+        )
+        for run in (fit_loglog, fit_nonlinear, detect_power_law_region, aggregate):
+            with pytest.raises(NumericError, match="^floating-point overflow: a per-N mean leaves the float range$"):
+                run(ms)
+
+    def test_resampled_mean_that_overflows_is_numeric(self):
+        rows = [(1, 0, 1.6e308), (1, 1, 1e307), (2, 0, 1.0), (2, 1, 2.0), (3, 0, 0.5), (3, 1, 0.6)]
+        ms = MeasurementSet.from_rows([("m", n, r, v) for n, r, v in rows])
+        fit_loglog(ms)  # the means of the data themselves stay finite
+        with pytest.raises(NumericError, match="^floating-point overflow: a resampled per-N mean "):
+            bootstrap_ci(ms, "loglog")
+
+    def test_sample_counts_equal_as_floats_give_no_line(self):
+        # Two counts that round to one float: the log-log slope is 0/0.
+        pair = [("m", 9223372036854711808, 0, 1.0), ("m", 9223372036854711809, 0, 1.0)]
+        with pytest.raises(ParameterError, match="^alpha must be finite, got nan$"):
+            fit_loglog(MeasurementSet.from_rows(pair))
+        ms = MeasurementSet.from_rows([("m", 10, 0, 1.0), ("m", 100, 0, 0.5), ("m", 1000, 0, 0.25),
+                                       *[(m, n, r, 0.1) for m, n, r, _ in pair]])
+        region = detect_power_law_region(ms, r2_threshold=0.5)
+        assert region.diagnostics[9223372036854711808] is None
+
+    @pytest.mark.parametrize("ci", [(math.nan, math.nan), (math.nan, math.inf), (-math.inf, 0.0), (0.5, -0.5)])
+    def test_interval_must_be_finite_and_ordered(self, ci):
+        with pytest.raises(ParameterError, match="^ci_alpha must be a finite "):
+            PowerLawFit(alpha=-0.5, c=1.0, method="loglog", n_range=(1, 2), rss=0.0, r_squared=None, ci_alpha=ci)
+        assert make_fit(-0.5, 1.0).ci_alpha is None
+        PowerLawFit(alpha=-0.5, c=1.0, method="loglog", n_range=(1, 2), rss=0.0, r_squared=None, ci_alpha=(-0.5, -0.5))
+
     def test_numbers_are_unchanged(self):
         assert extrapolate(make_fit(-0.5, 2.0), 100).value == 2.0 * 100.0**-0.5
         assert required_sample_size(make_fit(-0.5, 2.0), 0.2) == 100
@@ -133,7 +168,6 @@ def test_planning_raises_only_toolkit_errors(alpha, c, n, target, alpha_b, c_b):
     survives(predict_intersection, fit, make_fit(alpha_b, c_b))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing iterates on the way to an error
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     rows=st.lists(st.tuples(counts, st.integers(0, 2), values), min_size=2, max_size=8,
@@ -146,3 +180,6 @@ def test_fits_raise_only_toolkit_errors(rows):
     survives(fit_nonlinear, ms)
     survives(detect_power_law_region, ms)
     survives(bootstrap_ci, ms, "loglog", draws=5, seed=1)
+    survives(bootstrap_ci, ms, "nonlinear", draws=5, seed=1)
+    survives(aggregate, ms)
+    survives(build_report, ms, [])

@@ -1,5 +1,6 @@
 """Structural tests for the SVG report emitter."""
 
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from learncurve import (
     DataError,
     MeasurementSet,
+    NumericError,
     RegionSegmentation,
     ThreePhaseModel,
     fit_loglog,
     synth_curve,
 )
 from learncurve.artifacts import FitArtifact
-from learncurve.svgplot import build_report, write_report
+from learncurve.svgplot import _log10_range, build_report, write_report
 
 MODEL = ThreePhaseModel(alpha=-0.62, c=0.5 * 900**0.62, plateau=1.0, floor=0.0)
 SIZES = [900, 1800, 3600, 9000, 22500, 45000, 90000]
@@ -130,3 +132,56 @@ class TestContracts:
         a = build_report(ms, [art], None)
         b = build_report(ms, [art], None)
         assert a == b
+
+
+class TestSidecarRegion:
+    def test_region_end_has_its_own_row(self):
+        ms = synth_curve(MODEL, SIZES, 3, 0.0, seed=1, metric="top1_error")
+        _, table = build_report(ms, [], RegionSegmentation(1800, 45000, {}))
+        assert table.splitlines()[-2:] == ["region_start,,1800,,,", "region_end,,45000,,,"]
+        _, table = build_report(ms, [], RegionSegmentation(1800, None, {}))
+        assert not any(line.startswith("region_end,") for line in table.splitlines())
+
+
+class TestPlotRange:
+    def test_equal_bounds_widen_to_half_and_double(self):
+        assert _log10_range(0.25, 0.25) == (math.log10(0.125), math.log10(0.5))
+        assert _log10_range(900, 900) == (math.log10(450), math.log10(1800))
+        assert _log10_range(0.25, 0.5) == (math.log10(0.25), math.log10(0.5))
+
+    def test_bounds_with_equal_logs_widen_too(self):
+        lo, hi = 1e10, 10000000000.000002
+        assert lo != hi and math.log10(lo) == math.log10(hi)
+        assert _log10_range(lo, hi) == (math.log10(lo / 2), math.log10(hi * 2))
+        ms = MeasurementSet.from_rows([("m", 10, 0, lo), ("m", 100, 0, hi)])
+        ET.fromstring(build_report(ms, [], None)[0])
+
+    @pytest.mark.parametrize("lo, hi", [(8.99e307, 8.99e307), (1.0, math.inf), (0.0, 1.0)])
+    def test_bounds_outside_the_float_range_are_numeric(self, lo, hi):
+        with pytest.raises(NumericError, match="^floating-point (overflow|underflow): the plot range "):
+            _log10_range(lo, hi)
+
+    def test_values_whose_doubled_range_overflows_are_numeric(self):
+        ms = MeasurementSet.from_rows([("m", 10, 0, 8.99e307), ("m", 100, 0, 8.99e307)])
+        with pytest.raises(NumericError, match=r"^floating-point overflow: the plot range \[4.495e\+307, inf\]"):
+            build_report(ms, [], None)
+
+
+class TestReportInputs:
+    def test_report_refuses_to_replace_an_input(self, tmp_path):
+        ms = synth_curve(MODEL, SIZES, 3, 0.05, seed=1, metric="top1_error")
+        data, fit = tmp_path / "data.csv", tmp_path / "fit.json"
+        data.write_text("measurements")
+        fit.write_text("fit")
+        for out in (tmp_path / "data.svg", fit):  # the sidecar, then the SVG itself
+            with pytest.raises(DataError, match="would replace one of its inputs"):
+                write_report(ms, [], None, out, (data, fit))
+        assert (data.read_text(), fit.read_text()) == ("measurements", "fit")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "fit.json"]
+
+    def test_other_inputs_are_no_obstacle(self, tmp_path):
+        ms = synth_curve(MODEL, SIZES, 3, 0.05, seed=1, metric="top1_error")
+        data = tmp_path / "data.csv"
+        data.write_text("measurements")
+        out, sidecar = write_report(ms, [], None, tmp_path / "plot.svg", (data,))
+        assert out.exists() and sidecar.exists() and data.read_text() == "measurements"
