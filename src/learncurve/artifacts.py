@@ -32,7 +32,9 @@ from .planning import NoiseImpactReport
 MEASUREMENT_HEADER = "metric,n,replicate,value"
 IMAGES_HEADER = "image_id,class,capture_group"
 # Version of the JSON layout written here; files without the key predate it.
-SCHEMA_VERSION = 1
+# 2: bootstrap intervals come from one Philox stream, and fits carry
+# draws_failed.  Files of schema 1 still load, with draws_failed None.
+SCHEMA_VERSION = 2
 # A created_at entry as dumps_canonical writes it, at any depth.
 CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
 
@@ -293,6 +295,7 @@ class FitArtifact(PowerLawFit):
             r_squared=None if d["r_squared"] is None else float(d["r_squared"]),
             ci_alpha=None if d["ci_alpha"] is None else (float(d["ci_alpha"][0]), float(d["ci_alpha"][1])),
             iterations=None if d.get("iterations") is None else int(d["iterations"]),
+            draws_failed=None if d.get("draws_failed") is None else int(d["draws_failed"]),
             metric=d["metric"],
             input_digest=d["input_digest"],
             created_at=d["created_at"],

@@ -54,7 +54,9 @@ class PowerLawFit:
     ``r_squared`` is ``None`` when the total sum of squares vanishes (flat
     data) and is clamped into [0, 1] otherwise.  ``n_range`` records the
     smallest and largest sample count actually used.  ``iterations`` is a
-    solver diagnostic, set by the nonlinear route only.
+    solver diagnostic, set by the nonlinear route only.  ``draws_failed`` is
+    set by :func:`bootstrap_ci`: the number of draws whose refit did not
+    converge and was left out of the interval (always 0 for ``loglog``).
     """
 
     alpha: float
@@ -65,6 +67,7 @@ class PowerLawFit:
     r_squared: float | None
     ci_alpha: tuple[float, float] | None = None
     iterations: int | None = None
+    draws_failed: int | None = None
 
     def __post_init__(self):
         for name in ("alpha", "c", "rss"):
@@ -80,6 +83,8 @@ class PowerLawFit:
             raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared}")
         if self.ci_alpha is not None and not -math.inf < self.ci_alpha[0] <= self.ci_alpha[1] < math.inf:
             raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {self.ci_alpha}")
+        if self.draws_failed is not None and not (isinstance(self.draws_failed, int) and self.draws_failed >= 0):
+            raise ParameterError(f"draws_failed must be None or an integer >= 0, got {self.draws_failed!r}")
 
     def predict(self, n: float) -> float:
         return self.c * float_power(n, self.alpha)
@@ -113,11 +118,16 @@ class Discrepancy(NamedTuple):
 
 
 def _select(ms: MeasurementSet, n_min, n_max) -> tuple[list[Measurement], list[tuple[int, np.ndarray]]]:
-    """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N."""
+    """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N.
+
+    N counts as the fits see it, as the log of a float: counts that round to
+    one float, or to floats with one log, are one sample count.
+    """
     pts, groups = window(ms, n_min, n_max)
-    if len(groups) < 2:
+    distinct = np.unique(np.log(np.asarray([n for n, _ in groups], dtype=float))).size
+    if distinct < 2:
         raise InsufficientDataError(
-            f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {len(groups)}"
+            f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {distinct}"
         )
     return pts, groups
 
@@ -416,9 +426,13 @@ def bootstrap_ci(
 
     Replicates are resampled with replacement independently within each N,
     the curve is refitted per draw, and the interval is the percentile
-    range of the resampled exponents.  Randomness for draw ``i`` is derived
-    from ``(seed, i)``, so results do not depend on evaluation order.
-    Returns the fit on the original data with ``ci_alpha`` attached.
+    range of the resampled exponents.  All uniforms come from one Philox
+    stream keyed by ``SeedSequence(seed)``; draw ``i`` takes the counter
+    blocks ``[i*w/4, (i+1)*w/4)``, where ``w = 4*ceil(P/4)`` for ``P``
+    resampled values, so it depends only on ``(seed, i, P)``, not on the
+    block size or on ``draws``.  Returns the fit on the original data with
+    ``ci_alpha`` attached and ``draws_failed`` set to the number of draws
+    whose refit did not converge and was left out (0 for ``loglog``).
     """
     if method not in (LOGLOG, NONLINEAR):
         raise ParameterError(f"unknown fit method {method!r}")
@@ -448,15 +462,14 @@ def bootstrap_ci(
     x = ns if on_means else np.repeat(ns, counts)
     log_x = np.log(x)
 
+    # A row of w = 4*ceil(P/4) uniforms is a whole number of Philox counter blocks.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    width = -(-len(values) // 4) * 4
     alphas = []
     failures = 0
     rows = max(1, BLOCK_VALUES // len(values))
-    u = np.empty((rows, len(values)))
     for first in range(0, draws, rows):
-        block = u[: min(rows, draws - first)]
-        for i, row in enumerate(block, start=first):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            rng.random(out=row)
+        block = rng.random((min(rows, draws - first), width))[:, : len(values)]
         y = values[group_start + (block * group_size).astype(np.intp)]
         if on_means:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -475,4 +488,4 @@ def bootstrap_ci(
 
     lo_q = (1.0 - confidence) / 2.0
     lo, hi = require_finite(np.quantile(np.concatenate(alphas), [lo_q, 1.0 - lo_q]), "the bootstrap interval")
-    return dataclasses.replace(base, ci_alpha=(float(lo), float(hi)))
+    return dataclasses.replace(base, ci_alpha=(float(lo), float(hi)), draws_failed=failures)

@@ -1,5 +1,6 @@
 """Tests for CSV/JSON formats, digests, and artifact round trips."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -13,6 +14,7 @@ from learncurve import (
     DataError,
     MeasurementSet,
     ThreePhaseModel,
+    bootstrap_ci,
     build_nested_subsets,
     fit_loglog,
     inject_label_noise,
@@ -141,6 +143,14 @@ class TestFitArtifact:
         assert loaded.input_digest == sha256_path(csv_path)
         assert loaded.params["method"] == "loglog"
 
+    @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
+    def test_bootstrap_fit_round_trips_with_its_failed_draws(self, tmp_path, method):
+        fit = bootstrap_ci(synth_set(), method, draws=50, seed=1)
+        out = tmp_path / "fit.json"
+        write_json(FitArtifact.from_fit(fit, "top1_error", "0" * 64, {}).to_dict(), out)
+        assert json.loads(out.read_text())["draws_failed"] == fit.draws_failed == 0
+        assert load_fit_artifact(out).fit() == fit
+
     def test_rerun_identical_except_timestamp(self, tmp_path):
         csv_path = tmp_path / "m.csv"
         write_measurements(synth_set(), csv_path)
@@ -192,6 +202,21 @@ class TestLoader:
         path, fit = self.fit_file(tmp_path, drop=("schema_version",))
         assert "schema_version" not in json.loads(path.read_text())
         assert load_fit_artifact(path).fit() == fit
+
+    def test_schema_1_file_loads_with_draws_failed_none(self, tmp_path):
+        fit = bootstrap_ci(synth_set(), "loglog", draws=50, seed=1)
+        doc = FitArtifact.from_fit(fit, "top1_error", "0" * 64, {}).to_dict()
+        doc["schema_version"] = 1
+        del doc["draws_failed"]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        assert load_fit_artifact(path).fit() == dataclasses.replace(fit, draws_failed=None)
+
+    @pytest.mark.parametrize("draws_failed", [-1, "x"])
+    def test_bad_draws_failed_is_malformed(self, tmp_path, draws_failed):
+        path, _ = self.fit_file(tmp_path, draws_failed=draws_failed)
+        with pytest.raises(DataError, match="fit.json: malformed fit artifact"):
+            load_fit_artifact(path)
 
     def test_newer_schema_version_is_refused(self, tmp_path):
         path, _ = self.fit_file(tmp_path, schema_version=SCHEMA_VERSION + 1)

@@ -75,7 +75,7 @@ class TestPipelines:
         a, b = pair["loglog"]["alpha"], pair["nonlinear"]["alpha"]
         assert pair["discrepancy"]["alpha"] == pytest.approx(abs(a - b) / abs(a), rel=1e-12)
         # The pair carries the same envelope as the fits inside it.
-        assert pair["schema_version"] == 1 and pair["tool_version"] and pair["created_at"]
+        assert pair["schema_version"] == artifacts.SCHEMA_VERSION and pair["tool_version"] and pair["created_at"]
         assert pair["input_digest"] == pair["loglog"]["input_digest"] == artifacts.sha256_path(noisy)
         assert pair["params"] == pair["nonlinear"]["params"]
         assert pair["params"]["method"] == "both"
@@ -168,6 +168,25 @@ class TestPipelines:
         assert root.tag.endswith("svg")
         assert (tmp_path / "plot.csv").exists()
 
+    def test_schema_1_fit_file_still_extrapolates_and_reports(self, tmp_path, capsys, clean_csv):
+        # As schema 1 wrote a bootstrapped fit: no draws_failed key.
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({
+            "kind": "fit", "schema_version": 1, "tool_version": "0.1.0",
+            "created_at": "2026-01-01T00:00:00+00:00", "params": {}, "input_digest": "0" * 64,
+            "metric": "top1_error", "method": "loglog", "alpha": -0.62, "c": 0.5 * 900**0.62,
+            "n_range": [900, 90000], "rss": 0.0, "r_squared": 1.0, "ci_alpha": [-0.64, -0.6],
+            "iterations": None,
+        }))
+        code, out, err = run(capsys, "extrapolate", "--fit", str(fit_path), "--n", "900000")
+        assert (code, err) == (0, "")
+        assert "(extrapolation)" in out
+        svg_path = tmp_path / "plot.svg"
+        code, _, err = run(capsys, "report", "--input", str(clean_csv), "--fits", str(fit_path),
+                           "--out", str(svg_path))
+        assert (code, err) == (0, "")
+        ET.fromstring(svg_path.read_text())
+
 
 class TestManifestCommands:
     @pytest.fixture
@@ -229,7 +248,7 @@ class TestManifestCommands:
         assert noisy["params"] == {"p": 0.25, "seed": 3}
         assert split["params"] == {"size": 30, "fraction": 0.2, "seed": 4}
         for doc in (built, noisy, split):
-            assert doc["schema_version"] == 1 and doc["tool_version"] and doc["created_at"]
+            assert doc["schema_version"] == artifacts.SCHEMA_VERSION and doc["tool_version"] and doc["created_at"]
 
     def test_derived_outputs_ignore_when_their_input_was_built(self, tmp_path, capsys, images_csv, monkeypatch):
         outputs = []
@@ -445,6 +464,13 @@ PER_N_MEAN_OVERFLOW = (b"metric,n,replicate,value\nm,10,0,1.6e308\nm,10,1,1.6e30
                        b"m,1000,0,0.5\nm,1000,1,0.5\nm,10000,0,0.2\nm,10000,1,0.2\n")
 
 
+def _float_equal_fit(tmp_path, method):
+    """Two sample counts that round to the same float."""
+    csv = _file(tmp_path, "d.csv", b"metric,n,replicate,value\nm,9223372036854711808,0,0.5\n"
+                                   b"m,9223372036854711809,0,0.4\n")
+    return ["fit", "--input", str(csv), "--metric", "m", "--method", method, "--out", str(tmp_path / "o.json")]
+
+
 def _fit_with_ci(tmp_path, ci):
     """A fit artifact whose ci_alpha is ``ci``, written as Python's json writes NaN and Infinity."""
     return _fit_file(tmp_path, ci_alpha=list(ci))
@@ -530,6 +556,8 @@ BAD_INPUTS = {
         "--fits", str(_fit_with_ci(t, (math.nan, math.nan))), "--out", str(t / "o.svg")],
     "reversed-ci-alpha": lambda t: [
         "extrapolate", "--fit", str(_fit_with_ci(t, (0.5, -0.5))), "--n", "100"],
+    "float-equal-sample-counts-loglog": lambda t: _float_equal_fit(t, "loglog"),
+    "float-equal-sample-counts-nonlinear": lambda t: _float_equal_fit(t, "nonlinear"),
     "non-finite-sigma-nan": lambda t: synth_args(t / "o.json", sigma="nan"),
     "non-finite-sigma-inf": lambda t: synth_args(t / "o.json", sigma="inf"),
 }
@@ -584,6 +612,12 @@ class TestBadInputs:
     def test_per_n_mean_overflow_names_the_mean(self, tmp_path, capsys, case):
         code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
         assert (code, err) == (4, "error: floating-point overflow: a per-N mean leaves the float range\n")
+
+    @pytest.mark.parametrize("case", ["float-equal-sample-counts-loglog", "float-equal-sample-counts-nonlinear"])
+    def test_float_equal_sample_counts_are_too_few(self, tmp_path, capsys, case):
+        code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+        assert (code, err) == (3, "error: need at least 2 distinct sample counts in [None, None], found 1\n")
+        assert not (tmp_path / "o.json").exists()
 
     def test_report_on_equal_logs_draws(self, tmp_path, capsys):
         csv = _file(tmp_path, "d.csv", b"metric,n,replicate,value\nm,10,0,1e10\nm,100,0,10000000000.000002\n")

@@ -218,6 +218,9 @@ class TestPowerLawFitValidation:
             dict(n_range=(100, 100)),
             dict(rss=-1.0),
             dict(r_squared=1.5),
+            dict(draws_failed=-1),
+            dict(draws_failed=1.5),
+            dict(draws_failed="3"),
         ],
     )
     def test_invalid(self, kwargs):
@@ -314,6 +317,22 @@ class TestBootstrap:
         b = bootstrap_ci(ms, "loglog", seed=11)
         assert a.ci_alpha != b.ci_alpha
 
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**200])
+    def test_any_non_negative_seed_gives_a_repeatable_interval(self, seed):
+        ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        for method in ("loglog", "nonlinear"):
+            fit = bootstrap_ci(ms, method, draws=100, seed=seed)
+            assert fit == bootstrap_ci(ms, method, draws=100, seed=seed)
+            assert fit.ci_alpha[0] <= fit.alpha <= fit.ci_alpha[1]
+
+    @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
+    def test_one_seed_sequence_per_call(self, method):
+        # Seeding per draw would cost more than the refits themselves.
+        ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        with mock.patch.object(np.random, "SeedSequence", wraps=np.random.SeedSequence) as seed_sequence:
+            bootstrap_ci(ms, method, seed=10)
+        assert seed_sequence.call_count <= 1
+
     def test_interval_brackets_point_estimate(self):
         ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
         fit = bootstrap_ci(ms, "loglog", seed=10)
@@ -377,7 +396,9 @@ class TestBootstrap:
         full = bootstrap_ci(ms, "nonlinear", draws=40, seed=10)
         self.fail_refits(monkeypatch, 20)
         fit = bootstrap_ci(ms, "nonlinear", draws=40, seed=10)  # one block of 40 rows
-        assert dataclasses.replace(fit, ci_alpha=None) == dataclasses.replace(full, ci_alpha=None)
+        assert (full.draws_failed, fit.draws_failed) == (0, 20)
+        without_ci = dict(ci_alpha=None, draws_failed=None)
+        assert dataclasses.replace(fit, **without_ci) == dataclasses.replace(full, **without_ci)
         assert fit.ci_alpha != full.ci_alpha
 
     def test_refits_failing_on_more_than_half_the_draws_raise(self, monkeypatch):
@@ -390,7 +411,7 @@ class TestBootstrap:
 
 
 # ---------------------------------------------------------------------------
-# The batched bootstrap against the per-draw refits it replaced
+# The batched bootstrap against one refit per draw
 # ---------------------------------------------------------------------------
 
 
@@ -432,7 +453,8 @@ def reference_gauss_newton(n, y, c0, a0):
 
 
 def reference_ci_alpha(ms, method, draws, confidence, seed, on_means):
-    """bootstrap_ci's interval from one refit per draw, the loop it replaced."""
+    """bootstrap_ci's interval from one refit per draw: draw i takes its uniforms
+    from a fresh Philox stream advanced straight to its counter blocks."""
     base = (fit_loglog if method == "loglog" else fit_nonlinear)(ms, on_means=on_means)
     groups = {}
     for p in sorted(ms, key=lambda p: (p.n, p.replicate)):
@@ -441,10 +463,13 @@ def reference_ci_alpha(ms, method, draws, confidence, seed, on_means):
     values = [np.asarray(groups[int(n)], dtype=float) for n in ns]
     counts = np.asarray([v.size for v in values])
     offsets = np.concatenate(([0], np.cumsum(counts)))
+    total = int(counts.sum())
+    width = 4 * math.ceil(total / 4)
     alphas, failures = [], 0
     for i in range(draws):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        u = rng.random(int(counts.sum()))
+        bit_generator = np.random.Philox(np.random.SeedSequence(seed))
+        bit_generator.advance(i * width // 4)
+        u = np.random.Generator(bit_generator).random(total)
         resampled = [
             vals[(u[offsets[g] : offsets[g + 1]] * vals.size).astype(np.intp)]
             for g, vals in enumerate(values)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from learncurve import (
+    InsufficientDataError,
     MeasurementSet,
     NumericError,
     ParameterError,
@@ -108,10 +109,14 @@ class TestReproductions:
             bootstrap_ci(ms, "loglog")
 
     def test_sample_counts_equal_as_floats_give_no_line(self):
-        # Two counts that round to one float: the log-log slope is 0/0.
-        pair = [("m", 9223372036854711808, 0, 1.0), ("m", 9223372036854711809, 0, 1.0)]
-        with pytest.raises(ParameterError, match="^alpha must be finite, got nan$"):
-            fit_loglog(MeasurementSet.from_rows(pair))
+        # Two counts that round to one float, or to two floats with one log,
+        # are one sample count to the fits.
+        pair = [("m", 9223372036854711808, 0, 0.5), ("m", 9223372036854711809, 0, 0.4)]
+        same_log = [("m", 2**62, 0, 0.5), ("m", 2**62 + 1024, 0, 0.4)]
+        for rows in (pair, same_log):
+            for run in (fit_loglog, fit_nonlinear, bootstrap_ci):
+                with pytest.raises(InsufficientDataError, match=r"^need at least 2 distinct sample counts in \[None, None\], found 1$"):
+                    run(MeasurementSet.from_rows(rows))
         ms = MeasurementSet.from_rows([("m", 10, 0, 1.0), ("m", 100, 0, 0.5), ("m", 1000, 0, 0.25),
                                        *[(m, n, r, 0.1) for m, n, r, _ in pair]])
         region = detect_power_law_region(ms, r2_threshold=0.5)
