@@ -23,7 +23,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterator
 
-from .errors import DataError, ToolkitError
+from .errors import DataError, ToolkitError, check_seed
 from .fitting import PowerLawFit, RegionSegmentation
 from .manifest import RecordColumns, SubsetManifest
 from .model import Measurement, MeasurementSet
@@ -316,9 +316,7 @@ def load_fit_artifact(path: str | Path) -> FitArtifact:
 # ---------------------------------------------------------------------------
 
 
-def region_to_dict(
-    region: RegionSegmentation, metric: str, input_digest: str, params: dict, created_at: str | None = None
-) -> dict:
+def region_to_dict(region: RegionSegmentation, metric: str, input_digest: str, params: dict) -> dict:
     body = {
         "metric": metric,
         "n_start_power_law": region.n_start_power_law,
@@ -328,7 +326,7 @@ def region_to_dict(
             for n, r2 in sorted(region.diagnostics.items())
         ],
     }
-    return envelope("region", body, {"input_digest": input_digest}, params, created_at)
+    return envelope("region", body, {"input_digest": input_digest}, params)
 
 
 def region_from_dict(d: dict) -> RegionSegmentation:
@@ -339,9 +337,7 @@ def region_from_dict(d: dict) -> RegionSegmentation:
     )
 
 
-def noise_impact_to_dict(
-    report: NoiseImpactReport, clean_digest: str, noisy_digest: str, params: dict, created_at: str | None = None
-) -> dict:
+def noise_impact_to_dict(report: NoiseImpactReport, clean_digest: str, noisy_digest: str, params: dict) -> dict:
     body = {
         "delta_alpha": report.delta_alpha,
         "multipliers": [
@@ -349,7 +345,7 @@ def noise_impact_to_dict(
         ],
     }
     inputs = {"clean_digest": clean_digest, "noisy_digest": noisy_digest}
-    return envelope("noise_impact", body, inputs, params, created_at)
+    return envelope("noise_impact", body, inputs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +383,7 @@ def manifest_from_dict(d: dict) -> SubsetManifest:
         classes=tuple(d["classes"]),
         per_class_pool=int(d["per_class_pool"]),
         sizes=tuple(int(s) for s in d["sizes"]),
-        seed=int(d["seed"]),
+        seed=check_seed(d["seed"]),
         records=RecordColumns(
             [r["image_id"] for r in d["records"]],
             [r["true_label"] for r in d["records"]],

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and its one seed rule."""
+
+import operator
 
 
 class ToolkitError(Exception):
@@ -48,3 +50,15 @@ class NoRegionError(ToolkitError):
 
 class ParallelCurvesError(ParameterError):
     """Two power laws have numerically equal exponents and never cross."""
+
+
+def check_seed(seed) -> int:
+    """``seed`` as a Python int; ParameterError unless it is a non-negative
+    integer: anything ``operator.index`` accepts (numpy integers too), but no bool."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if isinstance(seed, bool) or value < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return value

@@ -31,6 +31,7 @@ from .errors import (
     NoRegionError,
     NumericError,
     ParameterError,
+    check_seed,
 )
 from .model import Measurement, MeasurementSet, float_power, group_by_n, group_means, require_finite, window
 
@@ -440,8 +441,7 @@ def bootstrap_ci(
         raise ParameterError(f"draws must be >= 1, got {draws}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    seed = check_seed(seed)
 
     base = (fit_loglog if method == LOGLOG else fit_nonlinear)(ms, n_min, n_max, on_means=on_means)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_seed
 
 _HASH_PERSON = b"lc.manifest"
 
@@ -286,8 +286,7 @@ def build_nested_subsets(
     ranks within the deepest subset are kept from sharing a group on a
     best-effort basis (same-plant-same-day images should not line up).
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    seed = check_seed(seed)
     sizes = tuple(int(s) for s in sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
@@ -339,8 +338,7 @@ def inject_label_noise(m: SubsetManifest, p: float, seed: int) -> SubsetManifest
     """
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"noise probability must lie in [0, 1], got {p}")
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    seed = check_seed(seed)
     if m.n_classes < 2:
         raise ParameterError("need at least 2 classes to pick a wrong label")
 
@@ -378,8 +376,7 @@ def holdout_split(
     depth = m._depth(size)
     if not 0.0 < fraction < 1.0:
         raise ParameterError(f"holdout fraction must lie in (0, 1), got {fraction}")
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    seed = check_seed(seed)
 
     k = m.n_classes
     val_total = round(fraction * size)

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, NumericError, ParameterError
+from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_seed
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -128,11 +128,11 @@ class MeasurementSet:
         seen: set[tuple[str, int, int]] = set()
         for index, p in enumerate(self.points):
             key = (p.metric, p.n, p.replicate)
-            if not isinstance(p.n, int) or p.n < 1:
+            if type(p.n) is not int or p.n < 1:  # a bool is no sample count
                 error = ParameterError(f"sample count must be a positive int, got {p.n!r}")
             elif p.n > sys.float_info.max:
                 error = ParameterError(f"sample count {p.n} exceeds the float range")
-            elif not isinstance(p.replicate, int) or p.replicate < 0:
+            elif type(p.replicate) is not int or p.replicate < 0:
                 error = ParameterError(f"replicate id must be a non-negative int, got {p.replicate!r}")
             elif not (isinstance(p.value, float) and math.isfinite(p.value) and p.value >= 0.0):
                 error = ParameterError(f"value must be a finite non-negative float, got {p.value!r}")
@@ -245,8 +245,7 @@ def synth_curve(
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if not 0 <= noise_sigma < math.inf:
         raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    seed = check_seed(seed)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = []

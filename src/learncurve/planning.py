@@ -70,27 +70,32 @@ def extrapolate(fit: PowerLawFit, n: int) -> LossPrediction:
     """Evaluate the fitted curve at ``n``, marking extrapolation beyond n_range."""
     if not n >= 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    value = fit.c * float_power(n, fit.alpha)
+    value = fit.predict(n)
     outside = not (fit.n_range[0] <= n <= fit.n_range[1])
     return LossPrediction(n=int(n), value=value, extrapolated=outside)
+
+
+def _require_decreasing(fit: PowerLawFit, label: str = "fitted") -> None:
+    if fit.alpha >= 0:
+        raise ParameterError(f"{label} curve is non-decreasing (alpha={fit.alpha}); no finite sample size reaches the target")
+
+
+def _sample_size(fit: PowerLawFit, target_loss: float) -> float:
+    """The real N at which the fit reaches ``target_loss``: ``(target / c) ** (1 / alpha)``."""
+    if not target_loss > 0:
+        raise ParameterError(f"target loss must be positive, got {target_loss}")
+    return float_power(target_loss / fit.c, 1.0 / fit.alpha)
 
 
 def required_sample_size(fit: PowerLawFit, target_loss: float) -> int:
     """Smallest integer N with predicted loss at or below ``target_loss``.
 
-    Inverts the power law, ``N = (target / c) ** (1 / alpha)``, then takes
-    the ceiling; values within a 1e-9 relative distance of an integer are
-    snapped first so that analytically exact inverses survive floating
-    point (the round trip can exceed the target by that same sliver).
+    Snaps the inverse onto an integer within a 1e-9 relative distance
+    before the ceiling, so that exact inverses survive floating point (the
+    round trip can exceed the target by that same sliver).
     """
-    if not target_loss > 0:
-        raise ParameterError(f"target loss must be positive, got {target_loss}")
-    if fit.alpha >= 0:
-        raise ParameterError(
-            f"fitted curve is non-decreasing (alpha={fit.alpha}); no finite sample size "
-            "reaches the target"
-        )
-    exact = float_power(target_loss / fit.c, 1.0 / fit.alpha)
+    _require_decreasing(fit)
+    exact = _sample_size(fit, target_loss)
     n = math.ceil(exact - _CEIL_SNAP * max(abs(exact), 1.0))
     return max(n, 1)
 
@@ -110,16 +115,10 @@ def predict_intersection(fit_a: PowerLawFit, fit_b: PowerLawFit) -> Intersection
             "the curves are parallel or identical"
         )
     lo, hi = sorted((fit_a, fit_b), key=lambda f: (f.alpha, f.c))
-    try:
-        n_star = (lo.c / hi.c) ** (1.0 / (hi.alpha - lo.alpha))
-    except OverflowError:
-        n_star = math.inf
-    if not (math.isfinite(n_star) and n_star > 0.0):
-        raise ParameterError(
-            "the curves are so close to parallel that their crossing lies beyond "
-            "representable sample sizes"
-        )
-    return Intersection(n_star=float(n_star), superior=lo)
+    n_star = float_power(lo.c / hi.c, 1.0 / (hi.alpha - lo.alpha))
+    if n_star == 0.0:
+        raise NumericError(f"floating-point underflow: the crossing of c={lo.c!r} and c={hi.c!r} rounds to 0")
+    return Intersection(n_star=n_star, superior=lo)
 
 
 def noise_impact(
@@ -134,18 +133,12 @@ def noise_impact(
     how many times more samples the noisy curve needs to match the clean
     curve at L.
     """
-    for label, fit in (("clean", fit_clean), ("noisy", fit_noisy)):
-        if fit.alpha >= 0:
-            raise ParameterError(
-                f"{label} fit has non-decreasing curve (alpha={fit.alpha}); "
-                "required sample sizes are undefined"
-            )
+    _require_decreasing(fit_clean, "clean")
+    _require_decreasing(fit_noisy, "noisy")
     mults = []
     for target in targets:
-        if not target > 0:
-            raise ParameterError(f"target loss must be positive, got {target}")
-        n_noisy = float_power(target / fit_noisy.c, 1.0 / fit_noisy.alpha)
-        n_clean = float_power(target / fit_clean.c, 1.0 / fit_clean.alpha)
+        n_noisy = _sample_size(fit_noisy, target)
+        n_clean = _sample_size(fit_clean, target)
         if n_clean == 0.0:
             raise NumericError(f"floating-point underflow: the clean sample size for target {target!r} rounds to 0")
         mults.append((float(target), float(n_noisy / n_clean)))

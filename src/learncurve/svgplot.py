@@ -208,7 +208,7 @@ def build_report(
             for j in range(i + 1, len(arts)):
                 try:
                     crossing = predict_intersection(arts[i], arts[j])
-                except ParallelCurvesError:
+                except (ParallelCurvesError, NumericError):  # no crossing, or one far beyond any plot
                     continue
                 n_star = crossing.n_star
                 if not min(xs) <= n_star <= max(xs):

@@ -84,6 +84,12 @@ class TestMeasurementCsv:
         with pytest.raises(DataError, match=":3:"):
             read_measurements(path)
 
+    def test_value_that_is_not_a_number_names_the_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("metric,n,replicate,value\na,900,0,0.1\na,901,0,low\n")
+        with pytest.raises(DataError, match=r":3: value 'low' is not a number$"):
+            read_measurements(path)
+
     def test_duplicate_key_names_the_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("metric,n,replicate,value\na,900,0,0.1\na,900,0,0.2\n")
@@ -120,6 +126,13 @@ class TestImagesCsv:
         path.write_text("image_id,class,capture_group\nx1,barley,\nx2,oat,g7\n")
         rows = read_images(path)
         assert rows == [("x1", "barley", None), ("x2", "oat", "g7")]
+
+    @pytest.mark.parametrize("row", [",barley,g1", "x2,,g1"])
+    def test_empty_id_or_class_names_the_line(self, tmp_path, row):
+        path = tmp_path / "img.csv"
+        path.write_text(f"image_id,class,capture_group\nx1,barley,\n{row}\n")
+        with pytest.raises(DataError, match=r":3: image_id and class must be non-empty$"):
+            read_images(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "img.csv"

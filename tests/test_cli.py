@@ -328,6 +328,17 @@ class TestFailureModes:
         code, _, _ = run(capsys, "fit", "--frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, expected",
+                             [("--sizes", "1,x", "integers"), ("--targets", "0.1,x", "numbers")])
+    def test_malformed_list_is_a_usage_error(self, tmp_path, capsys, flag, value, expected):
+        argv = (synth_args(tmp_path / "d.csv") if flag == "--sizes" else
+                ["noise-impact", "--clean", "c.json", "--noisy", "n.json", "--targets", "0.1"])
+        argv[argv.index(flag) + 1] = value
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"expected comma-separated {expected}, got {value!r}" in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "transmogrify")
         assert code == 2
@@ -421,13 +432,14 @@ def _fit_file(tmp_path, **override):
     return out
 
 
-def _manifest_without_class_rank(tmp_path):
+def _edited_manifest(tmp_path, edit):
+    """A built manifest file whose JSON document ``edit`` has changed in place."""
     images, out = tmp_path / "images.csv", tmp_path / "m.json"
     images.write_text("image_id,class,capture_group\n" + "".join(f"i{i},c{i % 2},\n" for i in range(8)))
     assert main(["manifest", "build", "--images", str(images), "--sizes", "2,4",
                  "--seed", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    del doc["records"][0]["class_rank"]
+    edit(doc)
     out.write_text(json.dumps(doc))
     return out
 
@@ -457,6 +469,13 @@ def _overflow_noise_impact(tmp_path):
     clean = _fit_file(tmp_path, alpha=-1e-5, c=1.0).rename(tmp_path / "clean.json")
     noisy = _fit_file(tmp_path, alpha=-2e-5, c=1.0)
     return ["noise-impact", "--clean", str(clean), "--noisy", str(noisy), "--targets", "0.5"]
+
+
+def _near_parallel_intersect(tmp_path, c_steep):
+    """Exponents 3e-9 apart: the crossing is (c_steep / 1.0) ** 3.3e8, beyond the float range."""
+    shallow = _fit_file(tmp_path, alpha=-0.5, c=1.0).rename(tmp_path / "shallow.json")
+    steep = _fit_file(tmp_path, alpha=-0.5 - 3e-9, c=c_steep)
+    return ["intersect", "--fit-a", str(shallow), "--fit-b", str(steep)]
 
 
 # Two replicates each at N = 10, 100, 1000, 10000; the two at N = 10 sum past the float range.
@@ -502,7 +521,11 @@ BAD_INPUTS = {
     "n-range-not-a-pair": lambda t: [
         "extrapolate", "--fit", str(_fit_file(t, n_range=5)), "--n", "1000"],
     "record-without-class-rank": lambda t: [
-        "manifest", "holdout", "--in", str(_manifest_without_class_rank(t)), "--size", "4", "--seed", "1"],
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc["records"][0].pop("class_rank"))),
+        "--size", "4", "--seed", "1"],
+    "manifest-seed-not-an-integer": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc.update(seed=5.7))),
+        "--size", "4", "--seed", "1"],
     "sidecar-is-a-directory": _report_with_sidecar_dir,
     # A non-UTF-8 command-line byte arrives as a lone surrogate.
     "metric-not-encodable": lambda t: synth_args(t / "d.csv", metric="m\udcff"),
@@ -517,6 +540,8 @@ BAD_INPUTS = {
     "overflow-needed": lambda t: [
         "needed", "--fit", str(_fit_file(t, alpha=-1e-5, c=1.0)), "--target", "0.5"],
     "overflow-noise-impact": _overflow_noise_impact,
+    "overflow-intersect": lambda t: _near_parallel_intersect(t, c_steep=2.0),
+    "underflow-intersect": lambda t: _near_parallel_intersect(t, c_steep=0.5),
     "overflow-fit-nonlinear-near-the-float-range": lambda t: [
         "fit", "--input", str(_file(t, "d.csv", b"metric,n,replicate,value\nm,10,0,1e300\nm,100,0,1e-300\n"
                                                  b"m,1000,0,1e300\n")),
@@ -595,6 +620,29 @@ class TestBadInputs:
         assert code == 3
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "o.json").exists()
+
+    def test_underflowing_crossing_is_a_numeric_failure(self, tmp_path, capsys):
+        argv = BAD_INPUTS["underflow-intersect"](tmp_path)
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: floating-point underflow: ") and len(err.splitlines()) == 1
+
+    def test_float_seed_in_a_manifest_is_malformed(self, tmp_path, capsys):
+        code, _, err = run(capsys, *BAD_INPUTS["manifest-seed-not-an-integer"](tmp_path))
+        assert code == 3
+        assert "m.json: malformed manifest artifact (ParameterError: seed must be a non-negative integer, got 5.7)" in err
+
+    def test_report_skips_a_crossing_beyond_the_float_range(self, tmp_path, capsys):
+        shallow = _fit_file(tmp_path, alpha=-0.5, c=1.0).rename(tmp_path / "shallow.json")
+        steep = _fit_file(tmp_path, alpha=-0.5 - 3e-9, c=1.0001)
+        code, _, err = run(capsys, "report", "--input", str(tmp_path / "fit_input.csv"),
+                           "--fits", f"{shallow},{steep}", "--out", str(tmp_path / "p.svg"))
+        assert (code, err) == (0, "")
+        ET.fromstring((tmp_path / "p.svg").read_text())
+        rows = (tmp_path / "p.csv").read_text().splitlines()
+        assert sum(row.startswith("fit_") for row in rows) == 4
+        assert not any(row.startswith("intersection") for row in rows)
 
     @pytest.mark.parametrize("case", ["non-finite-ci-alpha-extrapolate", "non-finite-ci-alpha-report",
                                       "reversed-ci-alpha"])

@@ -326,6 +326,11 @@ class TestBootstrap:
             assert fit.ci_alpha[0] <= fit.alpha <= fit.ci_alpha[1]
 
     @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
+    def test_numpy_integer_seed_matches_int(self, method):
+        ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        assert bootstrap_ci(ms, method, draws=100, seed=np.int64(10)) == bootstrap_ci(ms, method, draws=100, seed=10)
+
+    @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
     def test_one_seed_sequence_per_call(self, method):
         # Seeding per draw would cost more than the refits themselves.
         ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")

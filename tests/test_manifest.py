@@ -293,6 +293,37 @@ class TestRecordAndManifestValidation:
         with pytest.raises(ParameterError, match="pool depth"):
             SubsetManifest(("x",), 2, (4,), 0, records)
 
+    @pytest.mark.parametrize(
+        "classes, sizes, message",
+        [((), (2,), "manifest needs at least one class"),
+         (("x", "x"), (2,), "class names must be unique"),
+         (("x",), (), "sizes must be non-empty")],
+    )
+    def test_manifest_shape_rules(self, classes, sizes, message):
+        records = (ImageRecord("a", "x", "x", False, 0), ImageRecord("b", "x", "x", False, 1))
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SubsetManifest(classes, 2, sizes, 0, records)
+
+
+class TestSeeds:
+    """Manifest seeds go through the one seed rule (see also test_seed_rule.py)."""
+
+    def test_numpy_integer_seed_matches_int(self, tmp_path):
+        pool, seed = make_pool(3, 40, groups_per_class=5), np.int64(3)
+        m, reference = build_nested_subsets(pool, [6, 12, 30], seed), build_nested_subsets(pool, [6, 12, 30], 3)
+        assert type(m.seed) is int and m == reference
+        noisy = inject_label_noise(m, 0.3, seed)
+        assert noisy == inject_label_noise(reference, 0.3, 3)
+        assert holdout_split(noisy, 30, 0.2, seed) == holdout_split(noisy, 30, 0.2, 3)
+        write_manifest(noisy, tmp_path / "m.json")
+        assert read_manifest(tmp_path / "m.json") == noisy
+
+    @pytest.mark.parametrize("seed", [5.7, True, "5", -5])
+    def test_loader_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        doc = manifest_to_dict(build_nested_subsets(make_pool(3, 40), [6, 12, 30], seed=1))
+        with pytest.raises(ParameterError, match="^seed must be a non-negative integer, got "):
+            manifest_from_dict({**doc, "seed": seed})
+
 
 # ---------------------------------------------------------------------------
 # Columnar engine: equivalence with the per-record reference code

@@ -142,6 +142,15 @@ class TestMeasurementSet:
             MeasurementSet.from_rows(rows)
         assert info.value.index == 3
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [(Measurement("m", True, 0, 0.5), "sample count must be a positive int, got True"),
+         (Measurement("m", 2, False, 0.4), "replicate id must be a non-negative int, got False")],
+    )
+    def test_bool_count_or_replicate_rejected(self, point, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            MeasurementSet((Measurement("m", 1, 0, 1.0), point))
+
     def test_only_does_not_check_the_rules_again(self, monkeypatch):
         rows = [("a", 10, 0, 1.0), ("b", 10, 0, 2.0), ("a", 20, 1, 0.5), ("b", 30, 0, 0.25)]
         mixed = MeasurementSet.from_rows(rows)
@@ -285,6 +294,10 @@ class TestSynthCurve:
         with pytest.raises(ParameterError):
             synth_curve(self.MODEL, [], 5, 0.0, seed=1)
 
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="^sizes must be >= 1$"):
+            synth_curve(self.MODEL, [0, 10], 5, 0.0, seed=1)
+
     def test_unsorted_sizes_rejected(self):
         with pytest.raises(ParameterError):
             synth_curve(self.MODEL, [100, 50], 5, 0.0, seed=1)
@@ -300,3 +313,8 @@ class TestSynthCurve:
     def test_non_finite_noise_sigma_rejected(self, sigma):
         with pytest.raises(ParameterError, match=f"^noise_sigma must be a finite float >= 0, got {sigma}$"):
             synth_curve(self.MODEL, [10, 20], 2, sigma, seed=1)
+
+    def test_numpy_integer_seed_matches_int(self):
+        assert synth_curve(self.MODEL, self.SIZES, 5, 0.05, seed=np.int64(3)) == synth_curve(
+            self.MODEL, self.SIZES, 5, 0.05, seed=3
+        )

@@ -65,6 +65,12 @@ class TestReproductions:
         with pytest.raises(NumericError, match="^floating-point overflow: "):
             required_sample_size(make_fit(-1e-5, 1.0), 0.5)
 
+    @pytest.mark.parametrize("c, kind", [(2.0, "overflow"), (0.5, "underflow")])
+    def test_crossing_beyond_the_float_range_is_numeric(self, c, kind):
+        # Exponents 3e-9 apart put the crossing at (c ratio) ** 3.3e8.
+        with pytest.raises(NumericError, match=f"^floating-point {kind}: "):
+            predict_intersection(make_fit(-0.5, 1.0), make_fit(-0.5 - 3e-9, c))
+
     def test_extrapolate_and_noise_impact_overflow_are_numeric(self):
         with pytest.raises(NumericError):
             extrapolate(make_fit(200.0, 1.0), 10**6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from learncurve import (
+    NumericError,
     ParallelCurvesError,
     ParameterError,
     PowerLawFit,
@@ -152,7 +153,7 @@ class TestPredictIntersection:
             assert abs(fit_a.predict(n_star) - fit_b.predict(n_star)) <= 1e-6 * fit_a.predict(n_star)
 
     def test_near_parallel_unrepresentable_crossing_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(NumericError):
             predict_intersection(make_fit(-0.5, 1.0), make_fit(-0.5 + 1e-8, 5.0))
 
     def test_identical_fits_rejected(self):

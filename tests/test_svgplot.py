@@ -9,6 +9,7 @@ from learncurve import (
     DataError,
     MeasurementSet,
     NumericError,
+    PowerLawFit,
     RegionSegmentation,
     ThreePhaseModel,
     fit_loglog,
@@ -79,6 +80,18 @@ class TestStructure:
         assert len(elements(svg, "fit")) == 2
         assert len(elements(svg, "intersection")) == 1
         assert any(line.startswith("intersection,") for line in table.splitlines())
+
+    @pytest.mark.parametrize("alpha, c", [(-0.3, MODEL.c * 1e7**-0.32), (-0.62 - 3e-9, 1.0001 * MODEL.c)])
+    def test_crossing_off_the_plot_is_skipped(self, alpha, c):
+        # The first crossing lies at N = 1e7, past the data; the second, of
+        # nearly parallel curves, beyond the float range.
+        ms = synth_curve(MODEL, SIZES, 3, 0.0, seed=1, metric="top1_error")
+        other = PowerLawFit(alpha=alpha, c=c, method="loglog", n_range=(900, 90000), rss=0.0, r_squared=1.0)
+        fits = [artifact_for(ms, "top1_error"), FitArtifact.from_fit(other, "top1_error", "0" * 64, {})]
+        svg, table = build_report(ms, fits, None)
+        assert len(elements(svg, "fit")) == 2
+        assert elements(svg, "intersection") == []
+        assert not any(line.startswith("intersection,") for line in table.splitlines())
 
     def test_region_splits_the_data_curve(self):
         ms = synth_curve(MODEL, SIZES, 3, 0.0, seed=1, metric="top1_error")
