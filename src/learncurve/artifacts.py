@@ -23,9 +23,9 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterator
 
-from .errors import DataError, ToolkitError, check_seed
+from .errors import DataError, ToolkitError
 from .fitting import PowerLawFit, RegionSegmentation
-from .manifest import RecordColumns, SubsetManifest
+from .manifest import SubsetManifest
 from .model import Measurement, MeasurementSet
 from .planning import NoiseImpactReport
 
@@ -175,7 +175,7 @@ def load_artifact(path: str | Path, kind: str) -> Any:
         hint = "; a --method both file holds two fits, pick one" if found == "fit_pair" else ""
         raise DataError(f"{path}: expected a {kind} artifact (kind={kind!r}), got {what}{hint}")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
+    if type(version) is not int or version > SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema_version {version!r}, this learncurve reads up to {SCHEMA_VERSION}")
     try:
         return _DECODERS[kind](doc)
@@ -290,12 +290,12 @@ class FitArtifact(PowerLawFit):
             alpha=float(d["alpha"]),
             c=float(d["c"]),
             method=str(d["method"]),
-            n_range=(int(d["n_range"][0]), int(d["n_range"][1])),
+            n_range=(d["n_range"][0], d["n_range"][1]),
             rss=float(d["rss"]),
             r_squared=None if d["r_squared"] is None else float(d["r_squared"]),
             ci_alpha=None if d["ci_alpha"] is None else (float(d["ci_alpha"][0]), float(d["ci_alpha"][1])),
-            iterations=None if d.get("iterations") is None else int(d["iterations"]),
-            draws_failed=None if d.get("draws_failed") is None else int(d["draws_failed"]),
+            iterations=d.get("iterations"),
+            draws_failed=d.get("draws_failed"),
             metric=d["metric"],
             input_digest=d["input_digest"],
             created_at=d["created_at"],
@@ -331,9 +331,9 @@ def region_to_dict(region: RegionSegmentation, metric: str, input_digest: str, p
 
 def region_from_dict(d: dict) -> RegionSegmentation:
     return RegionSegmentation(
-        n_start_power_law=int(d["n_start_power_law"]),
-        n_end_power_law=None if d["n_end_power_law"] is None else int(d["n_end_power_law"]),
-        diagnostics={int(e["candidate_n"]): e["r_squared"] for e in d.get("diagnostics", [])},
+        n_start_power_law=d["n_start_power_law"],
+        n_end_power_law=d["n_end_power_law"],
+        diagnostics={e["candidate_n"]: e["r_squared"] for e in d.get("diagnostics", [])},
     )
 
 
@@ -381,17 +381,11 @@ def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None, params:
 def manifest_from_dict(d: dict) -> SubsetManifest:
     return SubsetManifest(
         classes=tuple(d["classes"]),
-        per_class_pool=int(d["per_class_pool"]),
-        sizes=tuple(int(s) for s in d["sizes"]),
-        seed=check_seed(d["seed"]),
-        records=RecordColumns(
-            [r["image_id"] for r in d["records"]],
-            [r["true_label"] for r in d["records"]],
-            [r["assigned_label"] for r in d["records"]],
-            [bool(r["noise_flag"]) for r in d["records"]],
-            [int(r["class_rank"]) for r in d["records"]],
-        ),
-        diagnostics={str(k): int(v) for k, v in d.get("diagnostics", {}).items()},
+        per_class_pool=d["per_class_pool"],
+        sizes=tuple(d["sizes"]),
+        seed=d["seed"],
+        records=[(r["image_id"], r["true_label"], r["assigned_label"], r["noise_flag"], r["class_rank"]) for r in d["records"]],
+        diagnostics=d.get("diagnostics", {}),
     )
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and its one seed rule."""
+"""Exception hierarchy shared across the toolkit, and its one non-negative-integer rule."""
 
 import operator
 
@@ -52,13 +52,13 @@ class ParallelCurvesError(ParameterError):
     """Two power laws have numerically equal exponents and never cross."""
 
 
-def check_seed(seed) -> int:
-    """``seed`` as a Python int; ParameterError unless it is a non-negative
-    integer: anything ``operator.index`` accepts (numpy integers too), but no bool."""
+def check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as a Python int; ParameterError naming the field ``name`` unless it is a
+    non-negative integer: anything ``operator.index`` accepts (numpy integers too), but no bool."""
     try:
         value = operator.index(seed)
     except TypeError:
         value = -1
     if isinstance(seed, bool) or value < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ParameterError(f"{name} must be a non-negative integer, got {seed!r}")
     return value

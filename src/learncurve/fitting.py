@@ -76,7 +76,7 @@ class PowerLawFit:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.c > 0:
             raise ParameterError(f"fitted c must be positive, got {self.c}")
-        if not self.n_range[0] < self.n_range[1]:
+        if not check_seed(self.n_range[0], "n_range") < check_seed(self.n_range[1], "n_range"):
             raise ParameterError(f"n_range must be increasing, got {self.n_range}")
         if self.rss < 0:
             raise ParameterError(f"rss must be non-negative, got {self.rss}")
@@ -84,11 +84,12 @@ class PowerLawFit:
             raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared}")
         if self.ci_alpha is not None and not -math.inf < self.ci_alpha[0] <= self.ci_alpha[1] < math.inf:
             raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {self.ci_alpha}")
-        if self.draws_failed is not None and not (isinstance(self.draws_failed, int) and self.draws_failed >= 0):
-            raise ParameterError(f"draws_failed must be None or an integer >= 0, got {self.draws_failed!r}")
+        for name in ("iterations", "draws_failed"):
+            if getattr(self, name) is not None:
+                check_seed(getattr(self, name), name)
 
     def predict(self, n: float) -> float:
-        return self.c * float_power(n, self.alpha)
+        return require_finite(self.c * float_power(n, self.alpha), f"the prediction c * N**alpha at N={n!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,11 @@ class RegionSegmentation:
     diagnostics: Mapping[int, float | None]
 
     def __post_init__(self):
+        check_seed(self.n_start_power_law, "n_start_power_law")
+        if self.n_end_power_law is not None:
+            check_seed(self.n_end_power_law, "n_end_power_law")
+        for n in self.diagnostics:
+            check_seed(n, "candidate_n")
         if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:
             raise ParameterError("region start must not exceed region end")
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -60,21 +61,16 @@ class ImageRecord:
 
     def __post_init__(self):
         if self.noise_flag != (self.assigned_label != self.true_label):
-            raise ParameterError(
-                f"noise_flag must mirror a label change (image {self.image_id!r})"
-            )
+            raise ParameterError(f"noise_flag must mirror a label change (image {self.image_id!r})")
+        if not isinstance(self.noise_flag, (bool, np.bool_)):
+            raise ParameterError(f"noise_flag must be a bool, got {self.noise_flag!r} (image {self.image_id!r})")
         if self.class_rank < 0:
             raise ParameterError(f"class_rank must be >= 0, got {self.class_rank}")
+        check_seed(self.class_rank, "class_rank")
 
 
-class RecordColumns(NamedTuple):
-    """The ImageRecord fields of images in any order, one list per field."""
-
-    image_id: list
-    true_label: list
-    assigned_label: list
-    noise_flag: list
-    class_rank: list
+# An ImageRecord's fields as a row, in field order.
+_row = attrgetter(*(f.name for f in fields(ImageRecord)))
 
 
 class ManifestRecords(Sequence):
@@ -134,8 +130,8 @@ class SubsetManifest:
     ``per_class_pool`` is the usable pool depth per class (the smallest
     class count).  ``diagnostics`` records, for classes that carry capture
     groups, how many adjacent same-group pairs remain inside the deepest
-    subset after best-effort interleaving.  ``records`` (ImageRecords in
-    any order, or a loaded file's :class:`RecordColumns`) is checked and kept
+    subset after best-effort interleaving.  ``records`` (ImageRecords, or
+    rows of their fields in field order, in any order) is checked and kept
     as :class:`ManifestRecords`; one with the same classes is trusted, since
     only this module builds one.
     """
@@ -148,15 +144,14 @@ class SubsetManifest:
     diagnostics: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
         records = self.records
         trusted = isinstance(records, ManifestRecords) and records.classes == tuple(self.classes)
         if not trusted:
-            if not isinstance(records, RecordColumns):
-                recs = tuple(records)
-                records = RecordColumns(*([getattr(r, f) for r in recs] for f in RecordColumns._fields))
-            for fields in zip(*records):  # loaded columns have not met ImageRecord's rules yet
-                if fields[3] != (fields[2] != fields[1]) or fields[4] < 0:
-                    ImageRecord(*fields)
+            records = [_row(r) if isinstance(r, ImageRecord) else r for r in records]
+            for image_id, true, assigned, flag, rank in records:  # rows from a file have not met ImageRecord's rules yet
+                if type(flag) is not bool or type(rank) is not int or flag != (assigned != true) or rank < 0:
+                    ImageRecord(image_id, true, assigned, flag, rank)
         k = len(self.classes)
         if k < 1:
             raise ParameterError("manifest needs at least one class")
@@ -169,6 +164,7 @@ class SubsetManifest:
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ParameterError(f"sizes must be strictly increasing, got {self.sizes}")
         for s in self.sizes:
+            check_seed(s, "sizes")
             if s % k != 0:
                 raise ParameterError(f"subset size {s} is not divisible by {k} classes")
         if max(self.sizes) // k > self.per_class_pool:
@@ -176,6 +172,7 @@ class SubsetManifest:
                 f"largest subset needs {max(self.sizes) // k} images per class, "
                 f"pool depth is {self.per_class_pool}"
             )
+        check_seed(self.per_class_pool, "per_class_pool")
         if not trusted:
             records = self._checked(records)
         if min(records.counts) != self.per_class_pool:
@@ -183,15 +180,17 @@ class SubsetManifest:
                 f"per_class_pool={self.per_class_pool} does not match the smallest "
                 f"class count {min(records.counts)}"
             )
+        for n in self.diagnostics.values():
+            check_seed(n, "diagnostics")
         object.__setattr__(self, "records", records)
 
-    def _checked(self, cols: RecordColumns) -> ManifestRecords:
+    def _checked(self, rows: list[tuple]) -> ManifestRecords:
         """Images from outside this module, checked record by record (unique ids, labels in
         the class list, distinct ranks within a class) and then class by class (ranks
         contiguous from 0), as columns in class-then-rank order."""
         code = {c: i for i, c in enumerate(self.classes)}
         ids, ranks = set(), [set() for _ in self.classes]
-        for image_id, true, assigned, rank in zip(cols.image_id, cols.true_label, cols.assigned_label, cols.class_rank):
+        for image_id, true, assigned, _, rank in rows:
             if image_id in ids:
                 raise DataError(f"duplicate image id {image_id!r}")
             ids.add(image_id)
@@ -205,10 +204,10 @@ class SubsetManifest:
         for cls, taken in zip(self.classes, ranks):
             if taken != set(range(len(taken))):
                 raise DataError(f"ranks of class {cls!r} are not contiguous from 0")
-        true, assigned = (np.array([code[x] for x in col], dtype=np.intp) for col in cols[1:3])
-        order = np.empty(len(true), dtype=np.intp)  # every rank is now below its class count
-        order[(np.cumsum(counts) - counts)[true] + np.array(cols.class_rank, dtype=np.intp)] = np.arange(len(true))
-        return ManifestRecords(self.classes, [cols.image_id[i] for i in order.tolist()], counts, assigned[order])
+        true, assigned = (np.array([code[row[j]] for row in rows], dtype=np.intp) for j in (1, 2))
+        order = np.empty(len(rows), dtype=np.intp)  # every rank is now below its class count
+        order[(np.cumsum(counts) - counts)[true] + np.array([row[4] for row in rows], dtype=np.intp)] = np.arange(len(rows))
+        return ManifestRecords(self.classes, [rows[i][0] for i in order.tolist()], counts, assigned[order])
 
     @property
     def n_classes(self) -> int:

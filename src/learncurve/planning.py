@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NumericError, ParallelCurvesError, ParameterError
 from .fitting import PowerLawFit
-from .model import float_power
+from .model import float_power, require_finite
 
 # Tolerance for snapping an analytically integral sample size back onto
 # the integer before taking the ceiling.
@@ -141,7 +141,7 @@ def noise_impact(
         n_clean = _sample_size(fit_clean, target)
         if n_clean == 0.0:
             raise NumericError(f"floating-point underflow: the clean sample size for target {target!r} rounds to 0")
-        mults.append((float(target), float(n_noisy / n_clean)))
+        mults.append((float(target), float(require_finite(n_noisy / n_clean, f"the multiplier for target {target!r}"))))
     return NoiseImpactReport(
         delta_alpha=fit_noisy.alpha - fit_clean.alpha,
         multipliers=tuple(mults),

@@ -1,8 +1,11 @@
 """Tests for CSV/JSON formats, digests, and artifact round trips."""
 
+import copy
 import dataclasses
 import errno
+import functools
 import json
+import operator
 import os
 import re
 import stat
@@ -13,6 +16,8 @@ import pytest
 from learncurve import (
     DataError,
     MeasurementSet,
+    PowerLawFit,
+    RegionSegmentation,
     ThreePhaseModel,
     bootstrap_ci,
     build_nested_subsets,
@@ -20,17 +25,20 @@ from learncurve import (
     inject_label_noise,
     synth_curve,
 )
+from learncurve import artifacts
 from learncurve.artifacts import (
     SCHEMA_VERSION,
     FitArtifact,
     dumps_canonical,
     envelope,
+    load_artifact,
     load_fit_artifact,
     manifest_from_dict,
     manifest_to_dict,
     read_images,
     read_manifest,
     read_measurements,
+    region_to_dict,
     sha256_path,
     write_json,
     write_manifest,
@@ -247,6 +255,56 @@ class TestLoader:
         write_json(envelope("region", {}, {}, {}, created_at="2026-01-02T00:00:00+00:00"), second)
         assert first.read_bytes() != second.read_bytes()
         assert sha256_path(first) == sha256_path(second)
+
+
+# A valid document of each kind load_artifact decodes, with every integer field set.
+VALID_DOCS = {
+    "fit": lambda: FitArtifact.from_fit(
+        PowerLawFit(alpha=-0.5, c=2.0, method="nonlinear", n_range=(10, 1000), rss=0.1, r_squared=0.9,
+                    ci_alpha=(-0.6, -0.4), iterations=7, draws_failed=3), "m", "0" * 64, {}).to_dict(),
+    "region": lambda: region_to_dict(RegionSegmentation(10, 1000, {10: 0.5, 100: 0.9, 1000: None}), "m", "0" * 64, {}),
+    "manifest": lambda: manifest_to_dict(inject_label_noise(build_nested_subsets(
+        [(f"i{i}", f"c{i % 2}", f"g{i % 3}") for i in range(8)], [2, 4], seed=1), 0.5, seed=2)),
+}
+
+
+def typed_paths(node, of_type, path=()):
+    """Paths to every value of type ``of_type`` (int excludes bool) in a document, params aside."""
+    if type(node) is of_type:
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key != "params":
+                yield from typed_paths(value, of_type, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from typed_paths(value, of_type, (*path, i))
+
+
+def at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+class TestLoaderTypes:
+    """Every integer and bool field of every decoded kind is checked on loading, not converted."""
+
+    def test_every_decoder_has_a_valid_document(self):
+        assert set(VALID_DOCS) == set(artifacts._DECODERS)
+
+    @pytest.mark.parametrize("kind", sorted(artifacts._DECODERS))
+    def test_a_field_of_the_wrong_type_is_refused(self, tmp_path, kind):
+        doc, path = json.loads(dumps_canonical(VALID_DOCS[kind]())), tmp_path / "a.json"
+        write_json(doc, path)
+        load_artifact(path, kind)
+        edits = [(p, v) for p in typed_paths(doc, int) for x in [at(doc, p)] for v in (x + 0.5, True, str(x))]
+        edits += [(p, v) for p in typed_paths(doc, bool) for x in [at(doc, p)] for v in (int(x), str(x).lower())]
+        assert len(edits) >= 15
+        for (*parents, last), value in edits:
+            edited = copy.deepcopy(doc)
+            at(edited, parents)[last] = value
+            write_json(edited, path)
+            with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
+                load_artifact(path, kind)
 
 
 class TestCanonicalJson:

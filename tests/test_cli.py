@@ -526,6 +526,19 @@ BAD_INPUTS = {
     "manifest-seed-not-an-integer": lambda t: [
         "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc.update(seed=5.7))),
         "--size", "4", "--seed", "1"],
+    # Each of these four loaded once, cut down to an int or a bool.
+    "manifest-rank-not-an-integer": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc["records"][0].update(class_rank=0.7))),
+        "--size", "4", "--seed", "1"],
+    "manifest-flag-not-a-bool": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc["records"][0].update(noise_flag=0))),
+        "--size", "4", "--seed", "1"],
+    "manifest-sizes-not-integers": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc.update(sizes=[2.9, 4]))),
+        "--size", "4", "--seed", "1"],
+    "manifest-pool-not-an-integer": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc.update(per_class_pool=4.5))),
+        "--size", "4", "--seed", "1"],
     "sidecar-is-a-directory": _report_with_sidecar_dir,
     # A non-UTF-8 command-line byte arrives as a lone surrogate.
     "metric-not-encodable": lambda t: synth_args(t / "d.csv", metric="m\udcff"),
@@ -537,6 +550,9 @@ BAD_INPUTS = {
     "overflow-fit-both": lambda t: _overflow_fit(t, "both"),
     "overflow-extrapolate": lambda t: [
         "extrapolate", "--fit", str(_fit_file(t, alpha=200.0, c=1.0)), "--n", "1000000"],
+    # N**alpha is in range; c times it is not.
+    "overflow-extrapolate-product": lambda t: [
+        "extrapolate", "--fit", str(_fit_file(t, alpha=0.2, c=1e300)), "--n", str(10**60)],
     "overflow-needed": lambda t: [
         "needed", "--fit", str(_fit_file(t, alpha=-1e-5, c=1.0)), "--target", "0.5"],
     "overflow-noise-impact": _overflow_noise_impact,
@@ -627,6 +643,12 @@ class TestBadInputs:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err.startswith("error: floating-point underflow: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if c.startswith("manifest-")))
+    def test_manifest_field_of_the_wrong_type_is_malformed(self, tmp_path, capsys, case):
+        code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+        assert code == 3
+        assert "m.json: malformed manifest artifact (ParameterError: " in err
 
     def test_float_seed_in_a_manifest_is_malformed(self, tmp_path, capsys):
         code, _, err = run(capsys, *BAD_INPUTS["manifest-seed-not-an-integer"](tmp_path))

@@ -1,10 +1,11 @@
 """Numeric failures are library errors: extreme but legal inputs raise only ToolkitError."""
 
+import dataclasses
 import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from learncurve import (
@@ -42,11 +43,24 @@ def make_fit(alpha, c):
 
 
 def survives(fn, *args, **kwargs):
-    """Call ``fn``; a ToolkitError is an accepted outcome, anything else propagates."""
+    """Call ``fn`` and return its result; a ToolkitError is an accepted
+    outcome (the result is then None), anything else propagates."""
     try:
-        fn(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ToolkitError:
-        pass
+        return None
+
+
+def floats_in(result):
+    """Every float in a planning result, through its dataclass fields and tuples."""
+    if isinstance(result, float):
+        yield result
+    elif isinstance(result, tuple):
+        for item in result:
+            yield from floats_in(item)
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            yield from floats_in(getattr(result, f.name))
 
 
 class TestReproductions:
@@ -171,12 +185,18 @@ class TestNonFiniteParameters:
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(alpha=finite, c=positive, n=huge_counts, target=positive, alpha_b=negative, c_b=positive)
+# c times N**alpha overflows in extrapolate; the sample-size ratio overflows in noise_impact.
+@example(alpha=0.2, c=1e300, n=10**60, target=1.0, alpha_b=-1.0, c_b=1.0)
+@example(alpha=-1.0, c=1e-300, n=2, target=1.0, alpha_b=-1.0, c_b=1e300)
 def test_planning_raises_only_toolkit_errors(alpha, c, n, target, alpha_b, c_b):
     fit = make_fit(alpha, c)
-    survives(extrapolate, fit, n)
-    survives(required_sample_size, fit, target)
-    survives(noise_impact, fit, make_fit(alpha_b, c_b), [target])
-    survives(predict_intersection, fit, make_fit(alpha_b, c_b))
+    results = [
+        survives(extrapolate, fit, n),
+        survives(required_sample_size, fit, target),
+        survives(noise_impact, fit, make_fit(alpha_b, c_b), [target]),
+        survives(predict_intersection, fit, make_fit(alpha_b, c_b)),
+    ]
+    assert all(math.isfinite(x) for x in floats_in(tuple(results))), results
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

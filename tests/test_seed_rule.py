@@ -1,5 +1,7 @@
-"""Every public function that takes a ``seed`` follows the one seed rule."""
+"""Every public function that takes a ``seed``, and every public class with a
+``seed`` field, follows the one seed rule."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -18,14 +20,20 @@ VALID_ARGS = {
     "holdout_split": lambda: ((build_nested_subsets(IMAGES, [4, 8], seed=0), 8, 0.25), {}),
     "inject_label_noise": lambda: ((build_nested_subsets(IMAGES, [4, 8], seed=0), 0.5), {}),
     "synth_curve": lambda: ((MODEL, [10, 20], 2, 0.05), {}),
+    "SubsetManifest": lambda: ((), {
+        k: v for k, v in vars(build_nested_subsets(IMAGES, [4, 8], seed=0)).items() if k != "seed"}),
 }
 
 
+def takes_a_seed(obj) -> bool:
+    if inspect.isfunction(obj):
+        return "seed" in inspect.signature(obj).parameters
+    return inspect.isclass(obj) and dataclasses.is_dataclass(obj) and "seed" in {f.name for f in dataclasses.fields(obj)}
+
+
 def seeded_functions():
-    return sorted(
-        name for name in learncurve.__all__
-        if inspect.isfunction(fn := getattr(learncurve, name)) and "seed" in inspect.signature(fn).parameters
-    )
+    """Public functions with a ``seed`` parameter and public classes with a ``seed`` field."""
+    return sorted(name for name in learncurve.__all__ if takes_a_seed(getattr(learncurve, name)))
 
 
 def test_the_walk_finds_the_seeded_functions():
@@ -36,7 +44,9 @@ def test_the_walk_finds_the_seeded_functions():
 def test_valid_arguments_are_listed_and_accept_an_integer_seed(name):
     assert name in VALID_ARGS, f"{name} takes a seed: add a valid call to VALID_ARGS"
     args, kwargs = VALID_ARGS[name]()
-    getattr(learncurve, name)(*args, **kwargs, seed=np.int64(1))
+    result = getattr(learncurve, name)(*args, **kwargs, seed=np.int64(1))
+    if inspect.isclass(getattr(learncurve, name)):
+        assert type(result.seed) is int and result.seed == 1
 
 
 @pytest.mark.parametrize("seed", [1.5, True, "1", -1])
