@@ -23,10 +23,12 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as np
+
 from .errors import DataError, ToolkitError
 from .fitting import PowerLawFit, RegionSegmentation
 from .manifest import SubsetManifest
-from .model import Measurement, MeasurementSet
+from .model import MeasurementSet
 from .planning import NoiseImpactReport
 
 MEASUREMENT_HEADER = "metric,n,replicate,value"
@@ -210,7 +212,7 @@ def read_measurements(path: str | Path) -> MeasurementSet:
     wrong column count, a malformed number or a broken MeasurementSet rule
     is rejected with its line number.  Blank lines are ignored.
     """
-    points: list[Measurement] = []
+    rows: list[tuple[str, int, int, float]] = []
     linenos: list[int] = []
     for lineno, (metric, n_s, r_s, v_s) in _csv_rows(path, MEASUREMENT_HEADER):
         try:
@@ -221,18 +223,22 @@ def read_measurements(path: str | Path) -> MeasurementSet:
             v = float(v_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: value {v_s!r} is not a number") from None
-        points.append(Measurement(metric, n, r, v))
+        rows.append((metric, n, r, v))
         linenos.append(lineno)
     try:
-        return MeasurementSet(tuple(points))
+        return MeasurementSet(rows)
     except ToolkitError as exc:
         raise DataError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 def measurements_to_csv(ms: MeasurementSet) -> str:
+    """The CSV text of ``ms``, its points sorted by (metric, n, replicate)."""
     lines = [MEASUREMENT_HEADER]
-    for pt in sorted(ms.points):
-        lines.append(f"{pt.metric},{pt.n},{pt.replicate},{format_float(pt.value)}")
+    for metric in ms.metrics():
+        sub = ms.only(metric)
+        order = np.lexsort((sub.replicate, sub.n))
+        n, replicate, value = (column[order].tolist() for column in (sub.n, sub.replicate, sub.value))
+        lines += [f"{metric},{a},{b},{c!r}" for a, b, c in zip(n, replicate, value)]  # floats: as format_float
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and its one non-negative-integer rule."""
+"""Exception hierarchy shared across the toolkit, and its integer rules."""
 
 import operator
 
@@ -52,13 +52,22 @@ class ParallelCurvesError(ParameterError):
     """Two power laws have numerically equal exponents and never cross."""
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as a Python int; ParameterError naming the field ``name`` unless it is an
+    integer: anything ``operator.index`` accepts (numpy integers too), but no bool.  Callers
+    run it before any sign rule, so a wrong type never meets a comparison."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def check_seed(seed, name: str = "seed") -> int:
     """``seed`` as a Python int; ParameterError naming the field ``name`` unless it is a
-    non-negative integer: anything ``operator.index`` accepts (numpy integers too), but no bool."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if isinstance(seed, bool) or value < 0:
+    non-negative integer (see :func:`check_integer`)."""
+    value = check_integer(seed, name)
+    if value < 0:
         raise ParameterError(f"{name} must be a non-negative integer, got {seed!r}")
     return value

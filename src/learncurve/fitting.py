@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     check_seed,
 )
-from .model import Measurement, MeasurementSet, float_power, group_by_n, group_means, require_finite, window
+from .model import Groups, MeasurementSet, float_power, group_by_n, group_means, reduce_groups, require_finite, window
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
@@ -124,28 +124,26 @@ class Discrepancy(NamedTuple):
     c: float
 
 
-def _select(ms: MeasurementSet, n_min, n_max) -> tuple[list[Measurement], list[tuple[int, np.ndarray]]]:
+def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
     """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N.
 
     N counts as the fits see it, as the log of a float: counts that round to
     one float, or to floats with one log, are one sample count.
     """
-    pts, groups = window(ms, n_min, n_max)
-    distinct = np.unique(np.log(np.asarray([n for n, _ in groups], dtype=float))).size
+    sub, groups = window(ms, n_min, n_max)
+    distinct = np.unique(np.log(np.asarray(groups.n, dtype=float))).size
     if distinct < 2:
         raise InsufficientDataError(
             f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {distinct}"
         )
-    return pts, groups
+    return sub, groups
 
 
-def _xy(pts: list[Measurement], groups, on_means: bool) -> tuple[np.ndarray, np.ndarray]:
+def _xy(n: np.ndarray, values: np.ndarray, groups: Groups, on_means: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The points a fit sees: one per group of ``groups``, or every (n, value) in point order."""
     if on_means:
-        return np.asarray([n for n, _ in groups], dtype=float), group_means(groups)
-    return (
-        np.asarray([p.n for p in pts], dtype=float),
-        np.asarray([p.value for p in pts], dtype=float),
-    )
+        return np.asarray(groups.n, dtype=float), group_means(groups)
+    return n.astype(float), values
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # sample counts equal in log space give a nan slope
@@ -177,13 +175,14 @@ def _r_squared(rss: float, ss_tot: float) -> float | None:
     return min(max(1.0 - rss / ss_tot, 0.0), 1.0)
 
 
-def _require_positive(pts) -> None:
-    for p in pts:
-        if p.value <= 0.0:
-            raise LogDomainError(
-                f"value {p.value!r} at (metric={p.metric!r}, n={p.n}, replicate={p.replicate}) "
-                "is not positive; logarithm undefined"
-            )
+def _require_positive(ms: MeasurementSet) -> None:
+    bad = np.flatnonzero(ms.value <= 0.0)
+    if bad.size:
+        p = ms.points[bad[0]]
+        raise LogDomainError(
+            f"value {p.value!r} at (metric={p.metric!r}, n={p.n}, replicate={p.replicate}) "
+            "is not positive; logarithm undefined"
+        )
 
 
 def _loglog_line(log_n: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float, float | None]:
@@ -207,15 +206,15 @@ def fit_loglog(
     point per distinct N enters the regression; otherwise every replicate
     is its own point.  All values in the window must be strictly positive.
     """
-    pts, groups = _select(ms, n_min, n_max)
-    _require_positive(pts)
-    n_arr, y_arr = _xy(pts, groups, on_means)
+    sub, groups = _select(ms, n_min, n_max)
+    _require_positive(sub)
+    n_arr, y_arr = _xy(sub.n, sub.value, groups, on_means)
     alpha, log_c, rss, r_squared = _loglog_line(np.log(n_arr), np.log(y_arr))
     return PowerLawFit(
         alpha=alpha,
         c=_exp_c(log_c),
         method=LOGLOG,
-        n_range=(groups[0][0], groups[-1][0]),
+        n_range=(groups.n[0], groups.n[-1]),
         rss=rss,
         r_squared=r_squared,
     )
@@ -318,20 +317,20 @@ def fit_nonlinear(
     here but have no logarithm).  Raises :class:`NonConvergenceError`
     carrying the last iterate if 200 iterations do not converge.
     """
-    pts, groups = _select(ms, n_min, n_max)
-    n_arr, y_arr = _xy(pts, groups, on_means)
+    sub, groups = _select(ms, n_min, n_max)
+    n_arr, y_arr = _xy(sub.n, sub.value, groups, on_means)
 
     if init is not None:
         c0, a0 = init.c, init.alpha
     else:
-        pos = [p for p in pts if p.value > 0.0]
-        pos_groups = group_by_n(pos)
-        if len(pos_groups) < 2:
+        pos = sub.value > 0.0
+        pos_groups = group_by_n(sub.n[pos], sub.value[pos])
+        if len(pos_groups.n) < 2:
             raise InsufficientDataError(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
             )
-        a0, log_c0 = _ols(*map(np.log, _xy(pos, pos_groups, on_means)))
+        a0, log_c0 = _ols(*map(np.log, _xy(sub.n[pos], sub.value[pos], pos_groups, on_means)))
         c0 = _exp_c(log_c0)
 
     c, a, rss, iterations, converged = (
@@ -344,7 +343,7 @@ def fit_nonlinear(
         alpha=a,
         c=c,
         method=NONLINEAR,
-        n_range=(groups[0][0], groups[-1][0]),
+        n_range=(groups.n[0], groups.n[-1]),
         rss=rss,
         r_squared=_r_squared(rss, ss_tot),
         iterations=iterations,
@@ -392,9 +391,9 @@ def detect_power_law_region(
     grid = ms.distinct_n()
     if len(grid) < 4:
         raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")
-    pts, groups = window(ms)
-    _require_positive(pts)
-    n_arr, means = _xy(pts, groups, True)
+    sub, groups = window(ms)
+    _require_positive(sub)
+    n_arr, means = _xy(sub.n, sub.value, groups, True)
     log_n, log_mean = np.log(n_arr), np.log(means)
 
     diagnostics: dict[int, float | None] = {}
@@ -451,19 +450,17 @@ def bootstrap_ci(
 
     base = (fit_loglog if method == LOGLOG else fit_nonlinear)(ms, n_min, n_max, on_means=on_means)
 
-    groups = group_by_n(sorted(window(ms, n_min, n_max)[0], key=lambda p: p.replicate))
-    for n, vals in groups:
-        if vals.size < 2:
-            raise InsufficientDataError(
-                f"only one replicate at N={n}: case resampling needs at least 2 "
-                "(residual bootstrap is not supported)"
-            )
-    ns = np.asarray([n for n, _ in groups], dtype=float)
-    values = np.concatenate([vals for _, vals in groups])
-    counts = np.asarray([vals.size for _, vals in groups])
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    sub = window(ms, n_min, n_max)[0]
+    order = np.argsort(sub.replicate, kind="stable")  # a group resamples its values in replicate order
+    ns, counts, values = group_by_n(sub.n[order], sub.value[order])
+    if (counts < 2).any():
+        raise InsufficientDataError(
+            f"only one replicate at N={ns[np.argmax(counts < 2)]}: case resampling needs at least 2 "
+            "(residual bootstrap is not supported)"
+        )
+    ns = np.asarray(ns, dtype=float)
     # Uniform j of a draw picks one of the values in the group of value j.
-    group_start = np.repeat(offsets[:-1], counts)
+    group_start = np.repeat(np.cumsum(counts) - counts, counts)
     group_size = np.repeat(counts, counts)
     x = ns if on_means else np.repeat(ns, counts)
     log_x = np.log(x)
@@ -479,7 +476,7 @@ def bootstrap_ci(
         y = values[group_start + (block * group_size).astype(np.intp)]
         if on_means:
             with np.errstate(over="ignore", invalid="ignore"):
-                y = np.stack([y[:, lo:hi].mean(axis=1) for lo, hi in zip(offsets, offsets[1:])], axis=1)
+                y = reduce_groups(y, counts, np.mean)
             require_finite(y, "a resampled per-N mean")
         if method == LOGLOG:
             alphas.append(_ols(log_x, np.log(y))[0])

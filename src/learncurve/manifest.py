@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataError, ParameterError, check_seed
+from .errors import DataError, ParameterError, check_integer, check_seed
 
 _HASH_PERSON = b"lc.manifest"
 
@@ -64,9 +64,8 @@ class ImageRecord:
             raise ParameterError(f"noise_flag must mirror a label change (image {self.image_id!r})")
         if not isinstance(self.noise_flag, (bool, np.bool_)):
             raise ParameterError(f"noise_flag must be a bool, got {self.noise_flag!r} (image {self.image_id!r})")
-        if self.class_rank < 0:
+        if check_integer(self.class_rank, "class_rank") < 0:
             raise ParameterError(f"class_rank must be >= 0, got {self.class_rank}")
-        check_seed(self.class_rank, "class_rank")
 
 
 # An ImageRecord's fields as a row, in field order.
@@ -159,20 +158,20 @@ class SubsetManifest:
             raise ParameterError("class names must be unique")
         if not self.sizes:
             raise ParameterError("sizes must be non-empty")
+        for s in self.sizes:
+            check_integer(s, "sizes")
         if any(s < 1 for s in self.sizes):
             raise ParameterError("subset sizes must be positive")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ParameterError(f"sizes must be strictly increasing, got {self.sizes}")
         for s in self.sizes:
-            check_seed(s, "sizes")
             if s % k != 0:
                 raise ParameterError(f"subset size {s} is not divisible by {k} classes")
-        if max(self.sizes) // k > self.per_class_pool:
+        if max(self.sizes) // k > check_integer(self.per_class_pool, "per_class_pool"):
             raise ParameterError(
                 f"largest subset needs {max(self.sizes) // k} images per class, "
                 f"pool depth is {self.per_class_pool}"
             )
-        check_seed(self.per_class_pool, "per_class_pool")
         if not trusted:
             records = self._checked(records)
         if min(records.counts) != self.per_class_pool:
@@ -286,7 +285,7 @@ def build_nested_subsets(
     best-effort basis (same-plant-same-day images should not line up).
     """
     seed = check_seed(seed)
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(check_integer(s, "sizes") for s in sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
     for image_id, class_name, group in images:

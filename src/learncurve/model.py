@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_seed
+from .errors import DataError, InsufficientDataError, NumericError, ParameterError, ToolkitError, check_integer, check_seed
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -113,81 +113,156 @@ class AggregateRow(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
+def _int_column(values) -> np.ndarray:
+    """Python ints as int64, or as an object column of the same ints once one leaves int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class MeasurementSet:
-    """Tidy, immutable collection of (metric, n, replicate, value) observations.
+    """Tidy, immutable collection of (metric, n, replicate, value) observations, held as
+    read-only columns: ``n`` and ``replicate`` (int64, or Python ints once one leaves int64),
+    ``value`` and metric codes; ``points`` is built on first use.  May hold several metrics
+    at once; fitting operations require a single-metric set, obtained with :meth:`only`."""
 
-    May hold several metrics at once; fitting operations require a
-    single-metric set, obtained with :meth:`only`.
-    """
+    __slots__ = ("_names", "_codes", "n", "replicate", "value", "_points")
 
-    points: tuple[Measurement, ...]
+    def __init__(self, points: Iterable[Measurement]):
+        points = tuple(points)
+        self._codes, self.n, self.replicate, self.value = zip(*points) if points else ((),) * 4
+        self.__post_init__()
 
     def __post_init__(self):
-        """The measurement rules; a violation's ``index`` is the offending point's position."""
-        seen: set[tuple[str, int, int]] = set()
-        for index, p in enumerate(self.points):
-            key = (p.metric, p.n, p.replicate)
-            if type(p.n) is not int or p.n < 1:  # a bool is no sample count
-                error = ParameterError(f"sample count must be a positive int, got {p.n!r}")
-            elif p.n > sys.float_info.max:
-                error = ParameterError(f"sample count {p.n} exceeds the float range")
-            elif type(p.replicate) is not int or p.replicate < 0:
-                error = ParameterError(f"replicate id must be a non-negative int, got {p.replicate!r}")
-            elif not (isinstance(p.value, float) and math.isfinite(p.value) and p.value >= 0.0):
-                error = ParameterError(f"value must be a finite non-negative float, got {p.value!r}")
-            elif not p.metric:
-                error = ParameterError("metric name must be non-empty")
-            elif key in seen:
-                error = DataError(f"duplicate observation for {key}")
-            else:
-                seen.add(key)
-                continue
-            error.index = index
-            raise error
+        """The measurement rules on the raw sequences in the slots (metric names in ``_codes``),
+        checked on whole columns.  Only a set that breaks one is walked point by point, to name
+        the first offender (its position is the error's ``index``) and its first broken rule."""
+        metric, n, replicate, value = self._codes, self.n, self.replicate, self.value
+        names = tuple(dict.fromkeys(metric))
+        codes = np.fromiter(map({m: i for i, m in enumerate(names)}.__getitem__, metric), np.intp, len(metric))
+        ok = set(map(type, n)) | set(map(type, replicate)) <= {int} and all(  # a bool is no count or id
+            issubclass(t, float) for t in set(map(type, value))
+        )
+        if ok:
+            n, replicate, value = _int_column(n), _int_column(replicate), np.array(value, dtype=float)
+            bad = (n < 1) | (n > sys.float_info.max) | (replicate < 0) | ~(np.isfinite(value) & (value >= 0.0))
+            bad |= np.array([not name for name in names], dtype=bool)[codes]
+            order = np.lexsort((replicate, n, codes))  # stable: a repeated key follows its first point
+            keys = [column[order] for column in (codes, n, replicate)]
+            bad[order[1:]] |= np.logical_and.reduce([key[1:] == key[:-1] for key in keys])
+            ok = not bad.any()
+        if not ok:
+            raise _first_violation(zip(metric, self.n, self.replicate, self.value))
+        self._store(names, codes, n, replicate, value)
+
+    def _store(self, names, codes, n, replicate, value):
+        for column in (codes, n, replicate, value):
+            column.flags.writeable = False
+        self._names, self._codes, self._points = names, codes, None
+        self.n, self.replicate, self.value = n, replicate, value
+
+    def _take(self, index) -> "MeasurementSet":
+        """The points at ``index`` (positions or a mask); part of a valid set keeps every rule."""
+        part = object.__new__(MeasurementSet)
+        part._store(self._names, self._codes[index], self.n[index], self.replicate[index], self.value[index])
+        return part
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, int, int, float]]) -> "MeasurementSet":
         return cls(tuple(Measurement(m, int(n), int(r), float(v)) for m, n, r, v in rows))
 
+    @property
+    def points(self) -> tuple[Measurement, ...]:
+        if self._points is None:
+            metric = map(self._names.__getitem__, self._codes.tolist())
+            self._points = tuple(map(Measurement, metric, self.n.tolist(), self.replicate.tolist(), self.value.tolist()))
+        return self._points
+
+    def __eq__(self, other):
+        return self.points == other.points if isinstance(other, MeasurementSet) else NotImplemented
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.value)
 
     def __iter__(self):
         return iter(self.points)
 
     def metrics(self) -> list[str]:
-        return sorted({p.metric for p in self.points})
+        return sorted(map(self._names.__getitem__, set(self._codes.tolist())))
 
     def only(self, metric: str) -> "MeasurementSet":
         """Sub-set holding only the given metric (possibly empty)."""
-        if all(p.metric == metric for p in self.points):
-            return self
-        subset = object.__new__(MeasurementSet)  # points of a valid set keep every rule
-        object.__setattr__(subset, "points", tuple(p for p in self.points if p.metric == metric))
-        return subset
+        keep = self._codes == (self._names.index(metric) if metric in self._names else -1)
+        return self if keep.all() else self._take(keep)
 
     def distinct_n(self) -> list[int]:
-        return sorted({p.n for p in self.points})
+        return sorted(set(self.n.tolist()))
 
 
-def group_by_n(points: Iterable[Measurement]) -> list[tuple[int, np.ndarray]]:
-    """``(n, values)`` per distinct N, ascending N, values in the points' order."""
-    by_n: dict[int, list[float]] = {}
-    for p in points:
-        by_n.setdefault(p.n, []).append(p.value)
-    return [(n, np.asarray(by_n[n], dtype=float)) for n in sorted(by_n)]
+def _first_violation(points) -> ToolkitError:
+    """The error of the first point that breaks a measurement rule, in rule order."""
+    seen: set[tuple[str, int, int]] = set()
+    for index, (metric, n, replicate, value) in enumerate(points):
+        key = (metric, n, replicate)
+        if type(n) is not int or n < 1:  # a bool is no sample count
+            error = ParameterError(f"sample count must be a positive int, got {n!r}")
+        elif n > sys.float_info.max:
+            error = ParameterError(f"sample count {n} exceeds the float range")
+        elif type(replicate) is not int or replicate < 0:
+            error = ParameterError(f"replicate id must be a non-negative int, got {replicate!r}")
+        elif not (isinstance(value, float) and math.isfinite(value) and value >= 0.0):
+            error = ParameterError(f"value must be a finite non-negative float, got {value!r}")
+        elif not metric:
+            error = ParameterError("metric name must be non-empty")
+        elif key in seen:
+            error = DataError(f"duplicate observation for {key}")
+        else:
+            seen.add(key)
+            continue
+        error.index = index
+        return error
 
 
-def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[list[Measurement], list[tuple[int, np.ndarray]]]:
+class Groups(NamedTuple):
+    """Values of a set by N: distinct N ascending (Python ints), group sizes, values group by group."""
+
+    n: list[int]
+    counts: np.ndarray
+    values: np.ndarray
+
+
+def group_by_n(n: np.ndarray, values: np.ndarray) -> Groups:
+    """``values`` grouped by their sample counts ``n``, in point order within a group."""
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    edges = np.flatnonzero(np.concatenate(([len(n) > 0], n[1:] != n[:-1], [True])))  # group starts, then the end
+    return Groups(n[edges[:-1]].tolist(), edges[1:] - edges[:-1], values[order])
+
+
+def reduce_groups(values: np.ndarray, counts: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(group, axis=-1)`` of each group on the last axis of ``values``, where the
+    groups lie one after another, ``counts`` values each.  One call per distinct count: its
+    groups are gathered into a C-ordered ``(..., g, R)`` array, which reduces each group
+    bit-identically to a call on that group alone (``np.add.reduceat`` does not)."""
+    starts = np.cumsum(counts) - counts
+    out = np.empty(values.shape[:-1] + (len(counts),))
+    for size in set(counts.tolist()):
+        at = np.flatnonzero(counts == size)
+        out[..., at] = reduce(values.take(starts[at, None] + np.arange(size), axis=-1), axis=-1)
+    return out
+
+
+def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[MeasurementSet, Groups]:
     """Points of a non-empty, single-metric set with N in [n_min, n_max], and their groups."""
     if len(ms) == 0:
         raise InsufficientDataError("measurement set is empty")
     metrics = ms.metrics()
     if len(metrics) != 1:
         raise ParameterError(f"expected a single metric, got {metrics}; use only()")
-    pts = [p for p in ms if (n_min is None or n_min <= p.n) and (n_max is None or p.n <= n_max)]
-    return pts, group_by_n(pts)
+    keep = (n_min is None or ms.n >= n_min) & (n_max is None or ms.n <= n_max)
+    sub = ms if np.all(keep) else ms._take(keep)
+    return sub, group_by_n(sub.n, sub.value)
 
 
 def require_finite(values, what: str):
@@ -198,9 +273,14 @@ def require_finite(values, what: str):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError instead
-def group_means(groups: list[tuple[int, np.ndarray]]) -> np.ndarray:
+def group_means(groups: Groups) -> np.ndarray:
     """Mean of each group's values."""
-    return require_finite(np.asarray([vals.mean() for _, vals in groups], dtype=float), "a per-N mean")
+    return require_finite(reduce_groups(groups.values, groups.counts, np.mean), "a per-N mean")
+
+
+def _sample_std(groups: np.ndarray, axis: int) -> np.ndarray:
+    """Standard deviation with divisor count-1 along ``axis``; 0 for groups of one."""
+    return np.std(groups, axis=axis, ddof=1) if groups.shape[axis] > 1 else np.zeros_like(groups.take(0, axis=axis))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError instead
@@ -211,10 +291,9 @@ def aggregate(ms: MeasurementSet) -> list[AggregateRow]:
     repeated training runs.  Requires a non-empty, single-metric set.
     """
     groups = window(ms)[1]
-    means = group_means(groups)
-    stds = [float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0 for _, vals in groups]
-    require_finite(stds, "a per-N standard deviation")
-    return [AggregateRow(n, float(mean), std, int(vals.size)) for (n, vals), mean, std in zip(groups, means, stds)]
+    means = group_means(groups).tolist()
+    stds = require_finite(reduce_groups(groups.values, groups.counts, _sample_std), "a per-N standard deviation")
+    return list(map(AggregateRow, groups.n, means, stds.tolist(), groups.counts.tolist()))
 
 
 def synth_curve(
@@ -233,29 +312,25 @@ def synth_curve(
     ``noise_sigma=0`` the values equal the model exactly.  A fixed
     (seed, inputs) pair always yields a bit-identical set: points are
     generated in canonical (ascending N, ascending replicate) order.
+    Sizes and ``replicates`` must be integers (numpy integers too, no bools).
     """
-    sizes = [int(s) for s in sizes]
+    sizes = [check_integer(s, "sizes") for s in sizes]
     if not sizes:
         raise ParameterError("sizes must be non-empty")
     if any(s < 1 for s in sizes):
         raise ParameterError("sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError(f"sizes must be strictly increasing, got {sizes}")
+    replicates = check_integer(replicates, "replicates")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if not 0 <= noise_sigma < math.inf:
         raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma}")
     seed = check_seed(seed)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pts = []
-    for n in sizes:
-        base = model.evaluate(n)
-        if noise_sigma == 0.0:
-            vals = [base] * replicates
-        else:
-            eps = rng.normal(0.0, noise_sigma, size=replicates)
-            vals = np.maximum(base * (1.0 + eps), VALUE_FLOOR)
-        for r in range(replicates):
-            pts.append(Measurement(metric, n, r, float(vals[r])))
-    return MeasurementSet(tuple(pts))
+    values = np.repeat([model.evaluate(n) for n in sizes], replicates)
+    if noise_sigma != 0.0:
+        eps = np.random.default_rng(np.random.SeedSequence(seed)).normal(0.0, noise_sigma, size=values.size)
+        values = np.maximum(values * (1.0 + eps), VALUE_FLOOR)
+    ns = [n for n in sizes for _ in range(replicates)]
+    return MeasurementSet(zip([metric] * len(ns), ns, list(range(replicates)) * len(sizes), values.tolist()))

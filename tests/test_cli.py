@@ -539,6 +539,13 @@ BAD_INPUTS = {
     "manifest-pool-not-an-integer": lambda t: [
         "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc.update(per_class_pool=4.5))),
         "--size", "4", "--seed", "1"],
+    # These two once met a sign comparison before the integer rule.
+    "manifest-rank-a-string": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc["records"][0].update(class_rank="0"))),
+        "--size", "4", "--seed", "1"],
+    "manifest-pool-a-string": lambda t: [
+        "manifest", "holdout", "--in", str(_edited_manifest(t, lambda doc: doc.update(per_class_pool="4"))),
+        "--size", "4", "--seed", "1"],
     "sidecar-is-a-directory": _report_with_sidecar_dir,
     # A non-UTF-8 command-line byte arrives as a lone surrogate.
     "metric-not-encodable": lambda t: synth_args(t / "d.csv", metric="m\udcff"),

@@ -338,6 +338,19 @@ class TestBootstrap:
             bootstrap_ci(ms, method, seed=10)
         assert seed_sequence.call_count <= 1
 
+    @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
+    @pytest.mark.parametrize("groups", [8, 64, 512])
+    def test_per_n_means_per_block_do_not_grow_with_the_groups(self, method, groups):
+        # One mean per group per block made a long grid quadratic; now there is one per replicate count.
+        sizes = list(range(100, 100 + 10 * groups, 10))
+        rows = [("m", n, r, self.MODEL.evaluate(n) * (1.0 + 0.01 * r)) for n in sizes for r in range(2 + n % 3)]
+        ms = MeasurementSet.from_rows(rows)
+        draws = 60
+        blocks = -(-draws // max(1, fitting.BLOCK_VALUES // len(ms)))
+        with mock.patch.object(np, "mean", wraps=np.mean) as mean:
+            bootstrap_ci(ms, method, draws=draws, seed=10)
+        assert blocks <= mean.call_count <= 3 * (blocks + 2)
+
     def test_interval_brackets_point_estimate(self):
         ms = synth_curve(self.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
         fit = bootstrap_ci(ms, "loglog", seed=10)

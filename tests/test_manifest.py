@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import time
 
 import numpy as np
@@ -111,6 +112,11 @@ class TestBuild:
     def test_unsorted_sizes_rejected(self):
         with pytest.raises(ParameterError):
             build_nested_subsets(make_pool(3, 40), [30, 6], seed=1)
+
+    @pytest.mark.parametrize("sizes, shown", [([4.9, 8.2], "4.9"), ([True, 4], "True"), (["4"], "'4'"), ([None], "None")])
+    def test_sizes_that_are_not_integers_are_refused(self, sizes, shown):
+        with pytest.raises(ParameterError, match=f"^sizes must be a non-negative integer, got {re.escape(shown)}$"):
+            build_nested_subsets(make_pool(2, 10), sizes, seed=1)
 
     # SubsetManifest holds the size rules, so an image error comes first.
     @pytest.mark.parametrize("pool, sizes, error, message", [
@@ -276,6 +282,31 @@ class TestRecordAndManifestValidation:
             ImageRecord("a", "x", "x", True, 0)
         with pytest.raises(ParameterError):
             ImageRecord("a", "x", "y", False, 0)
+
+    @pytest.mark.parametrize("rank, message", [
+        ("0", "class_rank must be a non-negative integer, got '0'"),
+        (None, "class_rank must be a non-negative integer, got None"),
+        (-1.5, "class_rank must be a non-negative integer, got -1.5"),
+        (-1, "class_rank must be >= 0, got -1"),
+    ])
+    def test_rank_type_rule_runs_before_its_sign_rule(self, rank, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ImageRecord("a", "x", "x", False, rank)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sizes", ("2",), "sizes must be a non-negative integer, got '2'"),
+        ("sizes", (None,), "sizes must be a non-negative integer, got None"),
+        ("sizes", (4.0, 2), "sizes must be a non-negative integer, got 4.0"),
+        ("sizes", (-1,), "subset sizes must be positive"),
+        ("per_class_pool", "2", "per_class_pool must be a non-negative integer, got '2'"),
+        ("per_class_pool", None, "per_class_pool must be a non-negative integer, got None"),
+        ("per_class_pool", -1, "largest subset needs 2 images per class, pool depth is -1"),
+    ])
+    def test_size_and_pool_type_rules_run_before_their_sign_rules(self, field, value, message):
+        records = (ImageRecord("a", "x", "x", False, 0), ImageRecord("b", "x", "x", False, 1))
+        kwargs = dict(classes=("x",), per_class_pool=2, sizes=(2,), seed=0, records=records)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SubsetManifest(**{**kwargs, field: value})
 
     def test_manifest_rejects_gapped_ranks(self):
         records = (

@@ -1,5 +1,6 @@
 """Tests for the three-phase curve model and the measurement synthesizer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,12 @@ from learncurve import (
     random_guess_plateau,
     synth_curve,
 )
-from learncurve.model import group_by_n, window
+from learncurve.model import group_by_n, group_means, reduce_groups, window
+
+
+def split(groups):
+    """``(n, values)`` of each group, values in point order."""
+    return [(n, vals.tolist()) for n, vals in zip(groups.n, np.split(groups.values, np.cumsum(groups.counts)[:-1]))]
 
 
 def _random_model(rng):
@@ -134,13 +140,17 @@ class TestMeasurementSet:
     @pytest.mark.parametrize(
         "bad, error",
         [(("m", 10, 0, math.nan), ParameterError), (("m", 10, 1, math.inf), ParameterError),
-         (("m", 20, 0, 0.5), DataError)],
+         (("m", 20, 0, 0.5), DataError), (("m", 0, 0, 0.5), ParameterError), (("", 40, 0, 0.5), ParameterError),
+         (("m", 40, -1, 0.5), ParameterError), (("m", 2**1100, 0, 0.5), ParameterError)],
     )
     def test_violation_carries_the_index_of_its_point(self, bad, error):
-        rows = [("m", 10, 0, 1.0), ("m", 20, 0, 0.5), ("m", 30, 0, 0.25), bad]
-        with pytest.raises(error) as info:
-            MeasurementSet.from_rows(rows)
-        assert info.value.index == 3
+        good = [("m", 10, 0, 1.0), ("m", 20, 0, 0.5), ("m", 30, 0, 0.25)]
+        # Sorted and unsorted sets; a duplicate placed after the broken point does not come first.
+        for head in itertools.permutations(good):
+            for rows in ([*head, bad], [*head, bad, head[0]]):
+                with pytest.raises(error) as info:
+                    MeasurementSet.from_rows(rows)
+                assert info.value.index == 3
 
     @pytest.mark.parametrize(
         "point, message",
@@ -169,9 +179,53 @@ class TestMeasurementSet:
 class TestGroupByN:
     def test_ascending_n_values_in_point_order(self):
         ms = MeasurementSet.from_rows([("m", 900, 1, 0.2), ("m", 90, 3, 0.8), ("m", 900, 0, 0.3), ("m", 90, 1, 0.7)])
-        groups = group_by_n(ms)
-        assert [n for n, _ in groups] == [90, 900]
-        assert [vals.tolist() for _, vals in groups] == [[0.8, 0.7], [0.2, 0.3]]
+        groups = group_by_n(ms.n, ms.value)
+        assert groups.n == [90, 900] and all(type(n) is int for n in groups.n)
+        assert split(groups) == [(90, [0.8, 0.7]), (900, [0.2, 0.3])]
+
+
+class TestReduceGroups:
+    """The one per-N reduction: bit-identical to one call per group."""
+
+    COUNTS = [1, 2, 3, 5, 8, 9, 17, 100]
+
+    @staticmethod
+    def draw(rng, rows=()):
+        counts = rng.choice(TestReduceGroups.COUNTS, size=int(rng.integers(1, 30)))
+        size = (*rows, int(counts.sum()))
+        return counts, rng.lognormal(size=size) * 10.0 ** rng.integers(-100, 100, size=size)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_mean_and_std_match_per_group_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        counts, values = self.draw(rng)
+        drawn = iter(values.tolist())
+        rows = [("m", n, r, next(drawn)) for n, k in enumerate(counts.tolist(), start=1) for r in range(k)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]  # a group's values lie apart, in point order
+        by_n = {}
+        for _, n, _, v in rows:
+            by_n.setdefault(n, []).append(v)
+        groups = [np.asarray(by_n[n]) for n in sorted(by_n)]
+        ms = MeasurementSet.from_rows(rows)
+        got = aggregate(ms)
+        assert [r.n for r in got] == sorted(by_n) and [r.count for r in got] == [g.size for g in groups]
+        assert [r.mean.hex() for r in got] == [float(np.mean(g)).hex() for g in groups]
+        assert [r.std.hex() for r in got] == [(float(np.std(g, ddof=1)) if g.size > 1 else 0.0).hex() for g in groups]
+        assert group_means(window(ms)[1]).tolist() == [r.mean for r in got]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_rows_of_draws_match_per_group_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        counts, values = self.draw(rng, rows=(int(rng.integers(1, 9)),))
+        starts = np.cumsum(counts) - counts
+        expected = [[float(np.mean(row[lo:lo + k])).hex() for lo, k in zip(starts, counts)] for row in values]
+        assert [[x.hex() for x in row] for row in reduce_groups(values, counts, np.mean).tolist()] == expected
+
+    def test_one_call_per_distinct_count(self):
+        counts = np.array([3, 5, 3, 3, 5] * 40)
+        calls = []
+        reduce_groups(np.ones(counts.sum()), counts, lambda a, axis: calls.append(a.shape) or a.sum(axis=axis))
+        assert sorted(calls) == [(80, 5), (120, 3)]
 
 
 class TestAggregate:
@@ -207,19 +261,20 @@ class TestWindow:
     )
 
     def test_points_in_range_keep_the_set_order(self):
-        pts, groups = window(self.MS, 300, 900)
-        assert pts == [self.MS.points[0], self.MS.points[2], self.MS.points[3]]
-        assert [(n, vals.tolist()) for n, vals in groups] == [(300, [0.4]), (900, [0.2, 0.3])]
+        sub, groups = window(self.MS, 300, 900)
+        assert sub.points == (self.MS.points[0], self.MS.points[2], self.MS.points[3])
+        assert split(groups) == [(300, [0.4]), (900, [0.2, 0.3])]
 
     def test_open_bounds_take_every_point(self):
-        pts, groups = window(self.MS)
-        assert pts == list(self.MS.points)
-        assert [n for n, _ in groups] == [90, 300, 900]
-        assert [n for n, _ in window(self.MS, n_min=300)[1]] == [300, 900]
-        assert [n for n, _ in window(self.MS, n_max=300)[1]] == [90, 300]
+        sub, groups = window(self.MS)
+        assert sub.points == self.MS.points
+        assert groups.n == [90, 300, 900]
+        assert window(self.MS, n_min=300)[1].n == [300, 900]
+        assert window(self.MS, n_max=300)[1].n == [90, 300]
 
     def test_a_range_without_points_is_an_empty_window(self):
-        assert window(self.MS, 1000, 2000) == ([], [])
+        sub, groups = window(self.MS, 1000, 2000)
+        assert sub.points == () and split(groups) == []
 
     def test_empty_set_rejected(self):
         with pytest.raises(InsufficientDataError, match="^measurement set is empty$"):
@@ -301,6 +356,33 @@ class TestSynthCurve:
     def test_unsorted_sizes_rejected(self):
         with pytest.raises(ParameterError):
             synth_curve(self.MODEL, [100, 50], 5, 0.0, seed=1)
+
+    @pytest.mark.parametrize(
+        "sizes, replicates, message",
+        [([100.7, 200, 400], 2, "sizes must be a non-negative integer, got 100.7"),
+         (["100", "200"], 2, "sizes must be a non-negative integer, got '100'"),
+         ([True, 2, 3], 2, "sizes must be a non-negative integer, got True"),
+         ([None], 2, "sizes must be a non-negative integer, got None"),
+         ([10, 20], 2.5, "replicates must be a non-negative integer, got 2.5"),
+         ([10, 20], True, "replicates must be a non-negative integer, got True"),
+         ([-1, 20], 2, "sizes must be >= 1"),
+         ([20, 10], 2, r"sizes must be strictly increasing, got \[20, 10\]"),
+         ([10, 20], -1, "replicates must be >= 1, got -1")],
+    )
+    def test_sizes_and_replicates_must_be_integers(self, sizes, replicates, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            synth_curve(self.MODEL, sizes, replicates, 0.0, seed=1)
+
+    def test_numpy_integer_sizes_and_replicates_match_int(self):
+        assert synth_curve(self.MODEL, np.array([10, 20]), np.int64(3), 0.05, seed=1) == synth_curve(
+            self.MODEL, [10, 20], 3, 0.05, seed=1
+        )
+
+    def test_counts_beyond_int64_keep_python_ints(self):
+        ms = synth_curve(self.MODEL, [2**62, 2**64, 2**70], 2, 0.05, seed=1)
+        assert ms.n.dtype == object and ms.distinct_n() == [2**62, 2**64, 2**70]
+        assert [type(p.n) for p in ms] == [int] * 6
+        assert [r.n for r in aggregate(ms)] == [2**62, 2**64, 2**70]
 
     @pytest.mark.parametrize("kwargs", [dict(replicates=0), dict(noise_sigma=-0.1)])
     def test_bad_counts_rejected(self, kwargs):
