@@ -290,23 +290,17 @@ class FitArtifact(PowerLawFit):
         body["metric"] = self.metric
         return envelope("fit", body, {"input_digest": self.input_digest}, self.params, self.created_at)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (isinstance(self.metric, str) and isinstance(self.params, dict)):
+            raise DataError(f"metric must be a string and params an object, got {self.metric!r} and {self.params!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "FitArtifact":
-        return cls(
-            alpha=float(d["alpha"]),
-            c=float(d["c"]),
-            method=str(d["method"]),
-            n_range=(d["n_range"][0], d["n_range"][1]),
-            rss=float(d["rss"]),
-            r_squared=None if d["r_squared"] is None else float(d["r_squared"]),
-            ci_alpha=None if d["ci_alpha"] is None else (float(d["ci_alpha"][0]), float(d["ci_alpha"][1])),
-            iterations=d.get("iterations"),
-            draws_failed=d.get("draws_failed"),
-            metric=d["metric"],
-            input_digest=d["input_digest"],
-            created_at=d["created_at"],
-            params=dict(d.get("params", {})),
-        )
+        """Each field as the document holds it; only a list ``n_range`` or ``ci_alpha`` becomes a tuple."""
+        optional = {"iterations": None, "draws_failed": None, "params": {}}
+        given = {f.name: d.get(f.name, optional[f.name]) if f.name in optional else d[f.name] for f in fields(cls)}
+        return cls(**{k: tuple(v) if k in ("n_range", "ci_alpha") and type(v) is list else v for k, v in given.items()})
 
 
 def _fit_fields(fit: PowerLawFit) -> dict:
@@ -336,11 +330,11 @@ def region_to_dict(region: RegionSegmentation, metric: str, input_digest: str, p
 
 
 def region_from_dict(d: dict) -> RegionSegmentation:
-    return RegionSegmentation(
-        n_start_power_law=d["n_start_power_law"],
-        n_end_power_law=d["n_end_power_law"],
-        diagnostics={e["candidate_n"]: e["r_squared"] for e in d.get("diagnostics", [])},
-    )
+    entries = d.get("diagnostics", [])
+    diagnostics = {e["candidate_n"]: e["r_squared"] for e in entries}
+    if len(diagnostics) != len(entries):
+        raise DataError("two diagnostics entries share one candidate_n")
+    return RegionSegmentation(d["n_start_power_law"], d["n_end_power_law"], diagnostics)
 
 
 def noise_impact_to_dict(report: NoiseImpactReport, clean_digest: str, noisy_digest: str, params: dict) -> dict:

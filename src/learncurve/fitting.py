@@ -46,6 +46,11 @@ GN_MAX_HALVINGS = 30
 BLOCK_VALUES = 8192
 
 
+def _real(x, lo=-math.inf, hi=math.inf) -> bool:
+    """Whether ``x`` is a real number in [lo, hi]: an int or a float, but no bool, and finite."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
+
+
 @dataclass(frozen=True)
 class PowerLawFit:
     """Fitted ``L(N) = c * N**alpha``.
@@ -72,18 +77,21 @@ class PowerLawFit:
 
     def __post_init__(self):
         for name in ("alpha", "c", "rss"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            if not _real(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.c > 0:
             raise ParameterError(f"fitted c must be positive, got {self.c}")
-        if not check_seed(self.n_range[0], "n_range") < check_seed(self.n_range[1], "n_range"):
-            raise ParameterError(f"n_range must be increasing, got {self.n_range}")
+        if self.method not in (LOGLOG, NONLINEAR):
+            raise ParameterError(f"method must be {LOGLOG!r} or {NONLINEAR!r}, got {self.method!r}")
+        if not (len(self.n_range) == 2 and check_seed(self.n_range[0], "n_range") < check_seed(self.n_range[1], "n_range")):
+            raise ParameterError(f"n_range must be an increasing pair, got {self.n_range!r}")
         if self.rss < 0:
             raise ParameterError(f"rss must be non-negative, got {self.rss}")
-        if self.r_squared is not None and not 0.0 <= self.r_squared <= 1.0:
-            raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared}")
-        if self.ci_alpha is not None and not -math.inf < self.ci_alpha[0] <= self.ci_alpha[1] < math.inf:
-            raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {self.ci_alpha}")
+        if self.r_squared is not None and not _real(self.r_squared, 0.0, 1.0):
+            raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
+        ci = self.ci_alpha
+        if ci is not None and not (len(ci) == 2 and _real(ci[0]) and _real(ci[1], ci[0])):
+            raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {ci!r}")
         for name in ("iterations", "draws_failed"):
             if getattr(self, name) is not None:
                 check_seed(getattr(self, name), name)
@@ -111,8 +119,10 @@ class RegionSegmentation:
         check_seed(self.n_start_power_law, "n_start_power_law")
         if self.n_end_power_law is not None:
             check_seed(self.n_end_power_law, "n_end_power_law")
-        for n in self.diagnostics:
+        for n, r_squared in self.diagnostics.items():
             check_seed(n, "candidate_n")
+            if r_squared is not None and not _real(r_squared, 0.0, 1.0):
+                raise ParameterError(f"r_squared at candidate {n} must be None or lie in [0, 1], got {r_squared!r}")
         if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:
             raise ParameterError("region start must not exceed region end")
 
@@ -127,11 +137,12 @@ class Discrepancy(NamedTuple):
 def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
     """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N.
 
-    N counts as the fits see it, as the log of a float: counts that round to
-    one float, or to floats with one log, are one sample count.
+    N counts as the fits see it, as the log of a float: counts that round to one float, or to
+    floats with one log, are one sample count, so the ascending logs change once per count.
     """
     sub, groups = window(ms, n_min, n_max)
-    distinct = np.unique(np.log(np.asarray(groups.n, dtype=float))).size
+    log_n = np.log(np.asarray(groups.n, dtype=float))
+    distinct = int(log_n.size > 0) + int(np.count_nonzero(log_n[1:] != log_n[:-1]))
     if distinct < 2:
         raise InsufficientDataError(
             f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {distinct}"
@@ -178,9 +189,9 @@ def _r_squared(rss: float, ss_tot: float) -> float | None:
 def _require_positive(ms: MeasurementSet) -> None:
     bad = np.flatnonzero(ms.value <= 0.0)
     if bad.size:
-        p = ms.points[bad[0]]
+        value, n, replicate = float(ms.value[bad[0]]), int(ms.n[bad[0]]), int(ms.replicate[bad[0]])
         raise LogDomainError(
-            f"value {p.value!r} at (metric={p.metric!r}, n={p.n}, replicate={p.replicate}) "
+            f"value {value!r} at (metric={ms.metrics()[0]!r}, n={n}, replicate={replicate}) "  # a window: one metric
             "is not positive; logarithm undefined"
         )
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, NumericError, ParameterError, ToolkitError, check_integer, check_seed
+from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_integer, check_seed
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -113,12 +113,29 @@ class AggregateRow(NamedTuple):
     count: int
 
 
-def _int_column(values) -> np.ndarray:
-    """Python ints as int64, or as an object column of the same ints once one leaves int64."""
+def _column(entries, ok, dtype, placeholder) -> tuple[np.ndarray, np.ndarray]:
+    """``entries`` as a ``dtype`` column, or as an object column of Python ints once an int leaves
+    int64, and the mask of the entries whose type fails ``ok``; those enter the column as
+    ``placeholder``.  A column of one good type is built without a per-entry check."""
+    wrong = np.zeros(len(entries), dtype=bool)
+    if not all(map(ok, set(map(type, entries)))):
+        wrong = np.array([not ok(type(entry)) for entry in entries], dtype=bool)
+        entries = [placeholder if w else e for e, w in zip(entries, wrong.tolist())]
     try:
-        return np.array(values, dtype=np.int64)
+        return np.array(entries, dtype=dtype), wrong
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.array(entries, dtype=object), wrong
+
+
+# The measurement rules in check order, as (error class, message from the point's raw entries).
+_RULES = (
+    (ParameterError, "sample count must be a positive int, got {n!r}"),
+    (ParameterError, "sample count {n} exceeds the float range"),
+    (ParameterError, "replicate id must be a non-negative int, got {replicate!r}"),
+    (ParameterError, "value must be a finite non-negative float, got {value!r}"),
+    (ParameterError, "metric name must be non-empty"),
+    (DataError, "duplicate observation for {key}"),
+)
 
 
 class MeasurementSet:
@@ -130,30 +147,34 @@ class MeasurementSet:
     __slots__ = ("_names", "_codes", "n", "replicate", "value", "_points")
 
     def __init__(self, points: Iterable[Measurement]):
+        """The measurement rules as one column mask per row of ``_RULES``: the first point with a mask
+        set is the first offender (the error's ``index``), and its first rule set names the error."""
         points = tuple(points)
-        self._codes, self.n, self.replicate, self.value = zip(*points) if points else ((),) * 4
-        self.__post_init__()
-
-    def __post_init__(self):
-        """The measurement rules on the raw sequences in the slots (metric names in ``_codes``),
-        checked on whole columns.  Only a set that breaks one is walked point by point, to name
-        the first offender (its position is the error's ``index``) and its first broken rule."""
-        metric, n, replicate, value = self._codes, self.n, self.replicate, self.value
+        metric, raw_n, raw_replicate, raw_value = zip(*points) if points else ((),) * 4
         names = tuple(dict.fromkeys(metric))
         codes = np.fromiter(map({m: i for i, m in enumerate(names)}.__getitem__, metric), np.intp, len(metric))
-        ok = set(map(type, n)) | set(map(type, replicate)) <= {int} and all(  # a bool is no count or id
-            issubclass(t, float) for t in set(map(type, value))
-        )
-        if ok:
-            n, replicate, value = _int_column(n), _int_column(replicate), np.array(value, dtype=float)
-            bad = (n < 1) | (n > sys.float_info.max) | (replicate < 0) | ~(np.isfinite(value) & (value >= 0.0))
-            bad |= np.array([not name for name in names], dtype=bool)[codes]
-            order = np.lexsort((replicate, n, codes))  # stable: a repeated key follows its first point
-            keys = [column[order] for column in (codes, n, replicate)]
-            bad[order[1:]] |= np.logical_and.reduce([key[1:] == key[:-1] for key in keys])
-            ok = not bad.any()
-        if not ok:
-            raise _first_violation(zip(metric, self.n, self.replicate, self.value))
+        n, wrong_n = _column(raw_n, {int}.__contains__, np.int64, 1)  # exactly int: a bool is no count or id
+        replicate, wrong_replicate = _column(raw_replicate, {int}.__contains__, np.int64, 0)
+        value, wrong_value = _column(raw_value, lambda t: issubclass(t, float), float, 0.0)
+        order = np.lexsort((replicate, n, codes))  # stable: a repeated key follows its first point
+        keys = [column[order] for column in (codes, n, replicate)]
+        duplicate = np.zeros(len(order), dtype=bool)
+        duplicate[order[1:]] = np.logical_and.reduce([key[1:] == key[:-1] for key in keys])
+        masks = np.array([
+            wrong_n | (n < 1),
+            n > sys.float_info.max,
+            wrong_replicate | (replicate < 0),
+            wrong_value | ~(np.isfinite(value) & (value >= 0.0)),
+            np.array([not name for name in names], dtype=bool)[codes],
+            duplicate,
+        ])
+        if masks.any():
+            index = int(masks.any(axis=0).argmax())
+            error_class, message = _RULES[int(masks[:, index].argmax())]
+            m, n, replicate, value = metric[index], raw_n[index], raw_replicate[index], raw_value[index]
+            error = error_class(message.format(n=n, replicate=replicate, value=value, key=(m, n, replicate)))
+            error.index = index
+            raise error
         self._store(names, codes, n, replicate, value)
 
     def _store(self, names, codes, n, replicate, value):
@@ -167,10 +188,6 @@ class MeasurementSet:
         part = object.__new__(MeasurementSet)
         part._store(self._names, self._codes[index], self.n[index], self.replicate[index], self.value[index])
         return part
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, int, int, float]]) -> "MeasurementSet":
-        return cls(tuple(Measurement(m, int(n), int(r), float(v)) for m, n, r, v in rows))
 
     @property
     def points(self) -> tuple[Measurement, ...]:
@@ -198,30 +215,6 @@ class MeasurementSet:
 
     def distinct_n(self) -> list[int]:
         return sorted(set(self.n.tolist()))
-
-
-def _first_violation(points) -> ToolkitError:
-    """The error of the first point that breaks a measurement rule, in rule order."""
-    seen: set[tuple[str, int, int]] = set()
-    for index, (metric, n, replicate, value) in enumerate(points):
-        key = (metric, n, replicate)
-        if type(n) is not int or n < 1:  # a bool is no sample count
-            error = ParameterError(f"sample count must be a positive int, got {n!r}")
-        elif n > sys.float_info.max:
-            error = ParameterError(f"sample count {n} exceeds the float range")
-        elif type(replicate) is not int or replicate < 0:
-            error = ParameterError(f"replicate id must be a non-negative int, got {replicate!r}")
-        elif not (isinstance(value, float) and math.isfinite(value) and value >= 0.0):
-            error = ParameterError(f"value must be a finite non-negative float, got {value!r}")
-        elif not metric:
-            error = ParameterError("metric name must be non-empty")
-        elif key in seen:
-            error = DataError(f"duplicate observation for {key}")
-        else:
-            seen.add(key)
-            continue
-        error.index = index
-        return error
 
 
 class Groups(NamedTuple):

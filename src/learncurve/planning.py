@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericError, ParallelCurvesError, ParameterError
+from .errors import NumericError, ParallelCurvesError, ParameterError, check_integer
 from .fitting import PowerLawFit
 from .model import float_power, require_finite
 
@@ -67,12 +67,13 @@ class NoiseImpactReport:
 
 
 def extrapolate(fit: PowerLawFit, n: int) -> LossPrediction:
-    """Evaluate the fitted curve at ``n``, marking extrapolation beyond n_range."""
+    """Evaluate the fitted curve at the integer sample count ``n``, marking extrapolation beyond n_range."""
+    n = check_integer(n, "sample count")
     if not n >= 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     value = fit.predict(n)
     outside = not (fit.n_range[0] <= n <= fit.n_range[1])
-    return LossPrediction(n=int(n), value=value, extrapolated=outside)
+    return LossPrediction(n=n, value=value, extrapolated=outside)
 
 
 def _require_decreasing(fit: PowerLawFit, label: str = "fitted") -> None:

@@ -92,7 +92,7 @@ def test_04_fit_discrepancy_measurable():
         base = MODEL.evaluate(n)
         for r in range(5):
             rows.append(("top1_error", n, r, max(base + rng.normal(0.0, 0.05), 1e-9)))
-    ms = MeasurementSet.from_rows(rows)
+    ms = MeasurementSet(rows)
     noisy_disc = fit_discrepancy(fit_loglog(ms), fit_nonlinear(ms))
     assert noisy_disc.alpha > 0.01  # the two routes measurably disagree
 

@@ -122,7 +122,7 @@ class TestMeasurementCsv:
             read_measurements(tmp_path / "nope.csv")
 
     def test_full_precision_survives(self, tmp_path):
-        ms = MeasurementSet.from_rows([("m", 10, 0, 0.1 + 0.2), ("m", 20, 0, 1e-12)])
+        ms = MeasurementSet([("m", 10, 0, 0.1 + 0.2), ("m", 20, 0, 1e-12)])
         path = tmp_path / "m.csv"
         write_measurements(ms, path)
         assert read_measurements(path) == ms
@@ -286,7 +286,8 @@ def at(doc, path):
 
 
 class TestLoaderTypes:
-    """Every integer and bool field of every decoded kind is checked on loading, not converted."""
+    """Every integer, bool and float field of every decoded kind, and the kind, method and metric
+    of a fit, are checked on loading, not converted."""
 
     def test_every_decoder_has_a_valid_document(self):
         assert set(VALID_DOCS) == set(artifacts._DECODERS)
@@ -298,6 +299,9 @@ class TestLoaderTypes:
         load_artifact(path, kind)
         edits = [(p, v) for p in typed_paths(doc, int) for x in [at(doc, p)] for v in (x + 0.5, True, str(x))]
         edits += [(p, v) for p in typed_paths(doc, bool) for x in [at(doc, p)] for v in (int(x), str(x).lower())]
+        edits += [(p, v) for p in typed_paths(doc, float) for x in [at(doc, p)] for v in (True, False, str(x))]
+        if kind == "fit":
+            edits += [(p, v) for p in [("kind",), ("method",), ("metric",)] for v in (7, None, True)]
         assert len(edits) >= 15
         for (*parents, last), value in edits:
             edited = copy.deepcopy(doc)
@@ -305,6 +309,22 @@ class TestLoaderTypes:
             write_json(edited, path)
             with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
                 load_artifact(path, kind)
+
+
+class TestRegionLoader:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [([{"candidate_n": 10, "r_squared": 0.5}, {"candidate_n": 10, "r_squared": 0.9}],
+          "two diagnostics entries share one candidate_n"),
+         ([{"candidate_n": 10, "r_squared": "0.9"}], "r_squared at candidate 10 must be None or lie in [0, 1], got '0.9'"),
+         ([{"candidate_n": 10, "r_squared": 1.5}], "got 1.5"),
+         ([{"candidate_n": 10, "r_squared": -0.1}], "got -0.1")],
+    )
+    def test_bad_diagnostics_are_malformed(self, tmp_path, entries, message):
+        path = tmp_path / "r.json"
+        write_json({**VALID_DOCS["region"](), "diagnostics": entries}, path)
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: malformed region artifact (") + ".*" + re.escape(message)):
+            load_artifact(path, "region")
 
 
 class TestCanonicalJson:

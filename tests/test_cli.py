@@ -680,6 +680,20 @@ class TestBadInputs:
         assert code == 3
         assert "fit.json: malformed fit artifact (ParameterError: ci_alpha must be a finite (lo, hi) with lo <= hi" in err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [({"alpha": "-0.5"}, "alpha must be finite, got '-0.5'"), ({"c": True}, "c must be finite, got True"),
+         ({"method": 7}, "method must be 'loglog' or 'nonlinear', got 7"),
+         ({"metric": 5}, "DataError: metric must be a string and params an object, got 5 and {"),
+         ({"params": [["n_min", None]]}, "DataError: metric must be a string and params an object, got 'top1_error' and [["),
+         ({"n_range": [10, 10000, 3]}, "n_range must be an increasing pair, got (10, 10000, 3)"),
+         ({"r_squared": "0.9"}, "r_squared must lie in [0, 1], got '0.9'")],
+    )
+    def test_fit_field_of_the_wrong_type_is_malformed(self, tmp_path, capsys, override, message):
+        code, _, err = run(capsys, "extrapolate", "--fit", str(_fit_file(tmp_path, **override)), "--n", "100")
+        assert code == 3 and len(err.splitlines()) == 1
+        assert "fit.json: malformed fit artifact (" in err and message in err
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_names_the_parameter(self, tmp_path, capsys, sigma):
         code, _, err = run(capsys, *BAD_INPUTS[f"non-finite-sigma-{sigma}"](tmp_path))

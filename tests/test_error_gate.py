@@ -1,7 +1,8 @@
 """Error gate: how every broken measurement set and CSV file is refused, pinned by one digest.
 
 Each seeded broken set starts from valid points (some with sample counts
-beyond int64, some with numpy float values), breaks one or two fields of
+of 1, beyond int64 or near the end of the float range, some with values of
+0.0 or numpy floats), breaks one or two fields of
 several of them with wrong-typed, bool, negative, beyond-float, non-finite
 and empty-metric entries, adds duplicate points, and lists its points in
 shuffled order.  Each broken CSV
@@ -14,6 +15,7 @@ records the new digest here, in the open.
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 
@@ -22,26 +24,31 @@ from learncurve.artifacts import MEASUREMENT_HEADER, read_measurements
 
 SETS = 1500
 FILES = 400
-DIGEST = "4f40f95067db4a6e4240ad96b0b4f73f0b100587359d5e8f6ad3a6f9c732734b"
+DIGEST = "83005936226aaa9f53afd74bb2c5ffca414dc6b8a8fa67ee9048561fa14278b2"
+TOP = int(sys.float_info.max)  # the largest sample count within the float range
 
 # Entries that break a rule, by the field they replace (metric, n, replicate, value).
 FAULTS = {
     0: ["", None],
-    1: ["10", 10.0, None, True, False, np.int64(10), 0, -5, 2**1100, 2**1100 + 1, -(2**70)],
+    1: ["10", 10.0, None, True, False, np.int64(10), 0, -5, TOP + 1, 2**1100, -(2**70)],
     2: ["0", 1.5, None, True, False, np.int64(0), -1, -(2**70)],
     3: ["0.5", 1, None, True, False, -0.5, -1e-300, math.nan, math.inf, -math.inf, np.float64(math.nan)],
 }
 
 
+# The sample counts of the valid points start at one of these and step up (1) or down (-1).
+BASES = [(1, 1), (10, 1), (10, 1), (2**70, 1), (TOP, -1)]
+
+
 def _valid_rows(rng) -> list[tuple]:
     metrics = ["a", "b", "top1_error"][: int(rng.integers(1, 4))]
-    base = 2**70 if rng.random() < 0.2 else 10
-    sizes = sorted({base + int(x) for x in rng.integers(0, 10**6, size=int(rng.integers(1, 12)))})
+    base, step = BASES[int(rng.integers(len(BASES)))]
+    sizes = sorted({base + step * int(x) for x in [0, *rng.integers(0, 10**6, size=int(rng.integers(0, 12)))]})
     rows = []
     for metric in metrics:
         for n in sizes:
             for r in range(int(rng.integers(1, 6))):
-                value = float(rng.lognormal())
+                value = [0.0, -0.0][int(rng.integers(2))] if rng.random() < 0.05 else float(rng.lognormal())
                 rows.append((metric, n, r, np.float64(value) if rng.random() < 0.1 else value))
     return rows
 

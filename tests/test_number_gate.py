@@ -88,7 +88,7 @@ def _set(seed: int) -> MeasurementSet:
     if rng.random() < 0.3:
         rows += _rows(rng, "b", grid if rng.random() < 0.5 else _grid(rng))
     order = rng.permutation(len(rows)).tolist()
-    return MeasurementSet.from_rows([rows[i] for i in order])
+    return MeasurementSet([rows[i] for i in order])
 
 
 def outcomes(seed: int):

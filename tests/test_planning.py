@@ -1,6 +1,7 @@
 """Tests for extrapolation, sample-size targets, crossovers, and noise cost."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ class TestExtrapolate:
     def test_rejects_n_below_one(self):
         with pytest.raises(ParameterError):
             extrapolate(make_fit(-0.5, 1.0), 0)
+
+    @pytest.mark.parametrize("n", [10.7, 10.0, "10", True])
+    def test_rejects_a_sample_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ParameterError, match=f"^sample count must be a non-negative integer, got {re.escape(repr(n))}$"):
+            extrapolate(make_fit(-0.5, 1.0), n)
+
+    def test_numpy_integer_gives_a_python_int(self):
+        pred = extrapolate(make_fit(-0.5, 1.0), np.int64(100))
+        assert type(pred.n) is int and pred == extrapolate(make_fit(-0.5, 1.0), 100)
 
 
 class TestRequiredSampleSize:

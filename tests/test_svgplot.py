@@ -166,7 +166,7 @@ class TestPlotRange:
         lo, hi = 1e10, 10000000000.000002
         assert lo != hi and math.log10(lo) == math.log10(hi)
         assert _log10_range(lo, hi) == (math.log10(lo / 2), math.log10(hi * 2))
-        ms = MeasurementSet.from_rows([("m", 10, 0, lo), ("m", 100, 0, hi)])
+        ms = MeasurementSet([("m", 10, 0, lo), ("m", 100, 0, hi)])
         ET.fromstring(build_report(ms, [], None)[0])
 
     @pytest.mark.parametrize("lo, hi", [(8.99e307, 8.99e307), (1.0, math.inf), (0.0, 1.0)])
@@ -175,7 +175,7 @@ class TestPlotRange:
             _log10_range(lo, hi)
 
     def test_values_whose_doubled_range_overflows_are_numeric(self):
-        ms = MeasurementSet.from_rows([("m", 10, 0, 8.99e307), ("m", 100, 0, 8.99e307)])
+        ms = MeasurementSet([("m", 10, 0, 8.99e307), ("m", 100, 0, 8.99e307)])
         with pytest.raises(NumericError, match=r"^floating-point overflow: the plot range \[4.495e\+307, inf\]"):
             build_report(ms, [], None)
 
