@@ -21,15 +21,15 @@ import stat
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-import numpy as np
-
+from .curves import PowerLawFit, RegionSegmentation
 from .errors import DataError, ToolkitError
-from .fitting import PowerLawFit, RegionSegmentation
-from .manifest import SubsetManifest
-from .model import MeasurementSet
-from .planning import NoiseImpactReport
+
+if TYPE_CHECKING:
+    from .manifest import SubsetManifest
+    from .model import MeasurementSet
+    from .planning import NoiseImpactReport
 
 MEASUREMENT_HEADER = "metric,n,replicate,value"
 IMAGES_HEADER = "image_id,class,capture_group"
@@ -212,6 +212,8 @@ def read_measurements(path: str | Path) -> MeasurementSet:
     wrong column count, a malformed number or a broken MeasurementSet rule
     is rejected with its line number.  Blank lines are ignored.
     """
+    from .model import MeasurementSet
+
     rows: list[tuple[str, int, int, float]] = []
     linenos: list[int] = []
     for lineno, (metric, n_s, r_s, v_s) in _csv_rows(path, MEASUREMENT_HEADER):
@@ -233,6 +235,8 @@ def read_measurements(path: str | Path) -> MeasurementSet:
 
 def measurements_to_csv(ms: MeasurementSet) -> str:
     """The CSV text of ``ms``, its points sorted by (metric, n, replicate)."""
+    import numpy as np
+
     lines = [MEASUREMENT_HEADER]
     for metric in ms.metrics():
         sub = ms.only(metric)
@@ -294,6 +298,9 @@ class FitArtifact(PowerLawFit):
         super().__post_init__()
         if not (isinstance(self.metric, str) and isinstance(self.params, dict)):
             raise DataError(f"metric must be a string and params an object, got {self.metric!r} and {self.params!r}")
+        for name in ("input_digest", "created_at"):
+            if not isinstance(getattr(self, name), str):
+                raise DataError(f"{name} must be a string, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitArtifact":
@@ -379,6 +386,8 @@ def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None, params:
 
 
 def manifest_from_dict(d: dict) -> SubsetManifest:
+    from .manifest import SubsetManifest
+
     return SubsetManifest(
         classes=tuple(d["classes"]),
         per_class_pool=d["per_class_pool"],

@@ -6,7 +6,9 @@ a known curve, ``fit`` / ``region`` produce JSON artifacts, ``extrapolate``
 ``manifest`` builds and manipulates nested-subset experiment manifests, and
 ``report`` renders the SVG plot.  Exit codes: 0 success, 2 usage error,
 3 data-contract error, 4 numeric failure (non-convergence, no region,
-a result outside the floating-point range).
+a result outside the floating-point range).  Each command imports the
+library modules it uses when it runs, so the planning commands start
+without numpy.
 """
 
 from __future__ import annotations
@@ -15,35 +17,8 @@ import argparse
 import sys
 
 from . import __version__
-from .artifacts import (
-    FitArtifact,
-    InputFile,
-    dumps_canonical,
-    envelope,
-    format_float,
-    load_artifact,
-    load_fit_artifact,
-    noise_impact_to_dict,
-    read_images,
-    read_manifest,
-    read_measurements,
-    region_to_dict,
-    write_json,
-    write_manifest,
-    write_measurements,
-)
-from .errors import (
-    DataError,
-    NonConvergenceError,
-    NoRegionError,
-    NumericError,
-    ToolkitError,
-)
-from .fitting import LOGLOG, NONLINEAR, detect_power_law_region, fit_discrepancy, fit_loglog, fit_nonlinear
-from .manifest import build_nested_subsets, holdout_split, inject_label_noise
-from .model import ThreePhaseModel, random_guess_plateau, synth_curve
-from .planning import extrapolate, noise_impact, predict_intersection, required_sample_size
-from .svgplot import write_report
+from .curves import LOGLOG, NONLINEAR
+from .errors import DataError, NonConvergenceError, NoRegionError, NumericError, ToolkitError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,6 +65,8 @@ def _say(text: str) -> None:
 
 def _emit(payload: dict, out: str | None, note: str = "") -> None:
     """Write a JSON payload to ``out``, or to standard output without one."""
+    from .artifacts import dumps_canonical, write_json
+
     if out:
         write_json(payload, out)
         _say(f"wrote {out}{note}")
@@ -98,6 +75,9 @@ def _emit(payload: dict, out: str | None, note: str = "") -> None:
 
 
 def _cmd_synth(args) -> int:
+    from .artifacts import write_measurements
+    from .model import ThreePhaseModel, synth_curve
+
     model = ThreePhaseModel(alpha=args.alpha, c=args.c, plateau=args.plateau, floor=args.floor)
     ms = synth_curve(
         model, args.sizes, args.replicates, args.sigma, args.seed, metric=args.metric
@@ -108,6 +88,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .artifacts import FitArtifact, InputFile, envelope, read_measurements
+    from .fitting import fit_discrepancy, fit_loglog, fit_nonlinear
+
     source = InputFile.read(args.input)
     sub = _select_metric(read_measurements(source), args.metric)
     params = {
@@ -140,6 +123,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    from .artifacts import InputFile, read_measurements, region_to_dict
+    from .fitting import detect_power_law_region
+    from .model import random_guess_plateau
+
     source = InputFile.read(args.input)
     sub = _select_metric(read_measurements(source), args.metric)
     plateau = None
@@ -152,18 +139,27 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_extrapolate(args) -> int:
+    from .artifacts import format_float, load_fit_artifact
+    from .planning import extrapolate
+
     pred = extrapolate(load_fit_artifact(args.fit), args.n)
     _say(f"predicted loss at N={pred.n}: {format_float(pred.value)} ({pred.marker})")
     return EXIT_OK
 
 
 def _cmd_needed(args) -> int:
+    from .artifacts import format_float, load_fit_artifact
+    from .planning import required_sample_size
+
     n = required_sample_size(load_fit_artifact(args.fit), args.target)
     _say(f"required sample size for target {format_float(args.target)}: {n}")
     return EXIT_OK
 
 
 def _cmd_intersect(args) -> int:
+    from .artifacts import format_float, load_fit_artifact
+    from .planning import predict_intersection
+
     art_a = load_fit_artifact(args.fit_a)
     art_b = load_fit_artifact(args.fit_b)
     crossing = predict_intersection(art_a, art_b)
@@ -174,6 +170,9 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_noise_impact(args) -> int:
+    from .artifacts import InputFile, load_fit_artifact, noise_impact_to_dict
+    from .planning import noise_impact
+
     clean = InputFile.read(args.clean)
     clean_fit = load_fit_artifact(clean)
     noisy = InputFile.read(args.noisy)
@@ -189,6 +188,9 @@ def _cmd_noise_impact(args) -> int:
 
 
 def _cmd_manifest_build(args) -> int:
+    from .artifacts import InputFile, read_images, write_manifest
+    from .manifest import build_nested_subsets
+
     source = InputFile.read(args.images)
     manifest = build_nested_subsets(read_images(source), args.sizes, args.seed)
     write_manifest(manifest, args.out, input_digest=source.digest)
@@ -197,6 +199,9 @@ def _cmd_manifest_build(args) -> int:
 
 
 def _cmd_manifest_noise(args) -> int:
+    from .artifacts import InputFile, read_manifest, write_manifest
+    from .manifest import inject_label_noise
+
     source = InputFile.read(args.infile)
     noisy = inject_label_noise(read_manifest(source), args.p, args.seed)
     params = {"p": args.p, "seed": args.seed}
@@ -207,6 +212,9 @@ def _cmd_manifest_noise(args) -> int:
 
 
 def _cmd_manifest_holdout(args) -> int:
+    from .artifacts import InputFile, envelope, read_manifest
+    from .manifest import holdout_split
+
     source = InputFile.read(args.infile)
     train, validation = holdout_split(read_manifest(source), args.size, args.fraction, args.seed)
     payload = envelope(
@@ -220,6 +228,9 @@ def _cmd_manifest_holdout(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .artifacts import load_artifact, load_fit_artifact, read_measurements
+    from .svgplot import write_report
+
     ms = read_measurements(args.input)
     fits = [load_fit_artifact(p) for p in args.fits] if args.fits else []
     region = load_artifact(args.region, "region") if args.region else None

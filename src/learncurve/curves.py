@@ -1,0 +1,125 @@
+"""Fitted learning curves, without numpy.
+
+The types a fit produces and the planning questions read: a fitted power
+law ``L(N) = c * N**alpha``, a detected power-law region and the
+discrepancy between two fits, with the scalar float checks they need.  The
+planning commands and the artifact loader rest on this module alone, so
+they start without importing numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
+
+from .errors import NumericError, ParameterError, check_seed
+
+LOGLOG = "loglog"
+NONLINEAR = "nonlinear"
+
+
+def _real(x, lo=-math.inf, hi=math.inf) -> bool:
+    """Whether ``x`` is a real number in [lo, hi]: an int or a float, but no bool, and finite."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
+
+
+def finite(value: float, what: str) -> float:
+    """``value``; NumericError when it overflowed to inf or nan."""
+    if not math.isfinite(value):
+        raise NumericError(f"floating-point overflow: {what} leaves the float range")
+    return value
+
+
+def float_power(base: float, exponent: float) -> float:
+    """``float(base) ** exponent``; NumericError when it leaves the float range."""
+    try:
+        result = float(base) ** exponent
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if not math.isfinite(result):
+        raise NumericError(f"floating-point overflow: {base!r} ** {exponent!r} exceeds the float range")
+    return result
+
+
+@dataclass(frozen=True)
+class PowerLawFit:
+    """Fitted ``L(N) = c * N**alpha``.
+
+    ``rss`` and ``r_squared`` live in the fitting space: log-log space for
+    the ``loglog`` method, the original linear space for ``nonlinear``.
+    ``r_squared`` is ``None`` when the total sum of squares vanishes (flat
+    data) and is clamped into [0, 1] otherwise.  ``n_range`` records the
+    smallest and largest sample count actually used.  ``iterations`` is a
+    solver diagnostic, set by the nonlinear route only.  ``draws_failed`` is
+    set by :func:`~learncurve.fitting.bootstrap_ci`: the number of draws whose
+    refit did not converge and was left out of the interval (always 0 for ``loglog``).
+    """
+
+    alpha: float
+    c: float
+    method: str
+    n_range: tuple[int, int]
+    rss: float
+    r_squared: float | None
+    ci_alpha: tuple[float, float] | None = None
+    iterations: int | None = None
+    draws_failed: int | None = None
+
+    def __post_init__(self):
+        for name in ("alpha", "c", "rss"):
+            if not _real(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.c > 0:
+            raise ParameterError(f"fitted c must be positive, got {self.c}")
+        if self.method not in (LOGLOG, NONLINEAR):
+            raise ParameterError(f"method must be {LOGLOG!r} or {NONLINEAR!r}, got {self.method!r}")
+        if not (len(self.n_range) == 2 and check_seed(self.n_range[0], "n_range") < check_seed(self.n_range[1], "n_range")):
+            raise ParameterError(f"n_range must be an increasing pair, got {self.n_range!r}")
+        if self.rss < 0:
+            raise ParameterError(f"rss must be non-negative, got {self.rss}")
+        if self.r_squared is not None and not _real(self.r_squared, 0.0, 1.0):
+            raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
+        ci = self.ci_alpha
+        if ci is not None and not (len(ci) == 2 and _real(ci[0]) and _real(ci[1], ci[0])):
+            raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {ci!r}")
+        for name in ("iterations", "draws_failed"):
+            if getattr(self, name) is not None:
+                check_seed(getattr(self, name), name)
+
+    def predict(self, n: float) -> float:
+        return finite(self.c * float_power(n, self.alpha), f"the prediction c * N**alpha at N={n!r}")
+
+
+@dataclass(frozen=True)
+class RegionSegmentation:
+    """Detected phase boundaries on the measurement grid.
+
+    ``n_start_power_law`` is the grid point where power-law behavior
+    begins; ``n_end_power_law`` is the grid point where the curve starts
+    flattening into irreducible error, or ``None`` when that phase was
+    not reached.  ``diagnostics`` maps every candidate start to the
+    r-squared of the log-log fit over the suffix from that candidate.
+    """
+
+    n_start_power_law: int
+    n_end_power_law: int | None
+    diagnostics: Mapping[int, float | None]
+
+    def __post_init__(self):
+        check_seed(self.n_start_power_law, "n_start_power_law")
+        if self.n_end_power_law is not None:
+            check_seed(self.n_end_power_law, "n_end_power_law")
+        for n, r_squared in self.diagnostics.items():
+            check_seed(n, "candidate_n")
+            if r_squared is not None and not _real(r_squared, 0.0, 1.0):
+                raise ParameterError(f"r_squared at candidate {n} must be None or lie in [0, 1], got {r_squared!r}")
+        if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:
+            raise ParameterError("region start must not exceed region end")
+
+
+class Discrepancy(NamedTuple):
+    """Relative parameter differences between two fits (reference = first)."""
+
+    alpha: float
+    c: float

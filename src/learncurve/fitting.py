@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .curves import LOGLOG, NONLINEAR, Discrepancy, PowerLawFit, RegionSegmentation
 from .errors import (
     InsufficientDataError,
     LogDomainError,
@@ -33,10 +32,7 @@ from .errors import (
     ParameterError,
     check_seed,
 )
-from .model import Groups, MeasurementSet, float_power, group_by_n, group_means, reduce_groups, require_finite, window
-
-LOGLOG = "loglog"
-NONLINEAR = "nonlinear"
+from .model import Groups, MeasurementSet, group_by_n, group_means, reduce_groups, require_finite, window
 
 GN_MAX_ITER = 200
 GN_REL_TOL = 1e-10
@@ -44,94 +40,6 @@ GN_MAX_HALVINGS = 30
 
 # bootstrap_ci refits its draws in blocks of about this many resampled values.
 BLOCK_VALUES = 8192
-
-
-def _real(x, lo=-math.inf, hi=math.inf) -> bool:
-    """Whether ``x`` is a real number in [lo, hi]: an int or a float, but no bool, and finite."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Fitted ``L(N) = c * N**alpha``.
-
-    ``rss`` and ``r_squared`` live in the fitting space: log-log space for
-    the ``loglog`` method, the original linear space for ``nonlinear``.
-    ``r_squared`` is ``None`` when the total sum of squares vanishes (flat
-    data) and is clamped into [0, 1] otherwise.  ``n_range`` records the
-    smallest and largest sample count actually used.  ``iterations`` is a
-    solver diagnostic, set by the nonlinear route only.  ``draws_failed`` is
-    set by :func:`bootstrap_ci`: the number of draws whose refit did not
-    converge and was left out of the interval (always 0 for ``loglog``).
-    """
-
-    alpha: float
-    c: float
-    method: str
-    n_range: tuple[int, int]
-    rss: float
-    r_squared: float | None
-    ci_alpha: tuple[float, float] | None = None
-    iterations: int | None = None
-    draws_failed: int | None = None
-
-    def __post_init__(self):
-        for name in ("alpha", "c", "rss"):
-            if not _real(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.c > 0:
-            raise ParameterError(f"fitted c must be positive, got {self.c}")
-        if self.method not in (LOGLOG, NONLINEAR):
-            raise ParameterError(f"method must be {LOGLOG!r} or {NONLINEAR!r}, got {self.method!r}")
-        if not (len(self.n_range) == 2 and check_seed(self.n_range[0], "n_range") < check_seed(self.n_range[1], "n_range")):
-            raise ParameterError(f"n_range must be an increasing pair, got {self.n_range!r}")
-        if self.rss < 0:
-            raise ParameterError(f"rss must be non-negative, got {self.rss}")
-        if self.r_squared is not None and not _real(self.r_squared, 0.0, 1.0):
-            raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
-        ci = self.ci_alpha
-        if ci is not None and not (len(ci) == 2 and _real(ci[0]) and _real(ci[1], ci[0])):
-            raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {ci!r}")
-        for name in ("iterations", "draws_failed"):
-            if getattr(self, name) is not None:
-                check_seed(getattr(self, name), name)
-
-    def predict(self, n: float) -> float:
-        return require_finite(self.c * float_power(n, self.alpha), f"the prediction c * N**alpha at N={n!r}")
-
-
-@dataclass(frozen=True)
-class RegionSegmentation:
-    """Detected phase boundaries on the measurement grid.
-
-    ``n_start_power_law`` is the grid point where power-law behavior
-    begins; ``n_end_power_law`` is the grid point where the curve starts
-    flattening into irreducible error, or ``None`` when that phase was
-    not reached.  ``diagnostics`` maps every candidate start to the
-    r-squared of the log-log fit over the suffix from that candidate.
-    """
-
-    n_start_power_law: int
-    n_end_power_law: int | None
-    diagnostics: Mapping[int, float | None]
-
-    def __post_init__(self):
-        check_seed(self.n_start_power_law, "n_start_power_law")
-        if self.n_end_power_law is not None:
-            check_seed(self.n_end_power_law, "n_end_power_law")
-        for n, r_squared in self.diagnostics.items():
-            check_seed(n, "candidate_n")
-            if r_squared is not None and not _real(r_squared, 0.0, 1.0):
-                raise ParameterError(f"r_squared at candidate {n} must be None or lie in [0, 1], got {r_squared!r}")
-        if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:
-            raise ParameterError("region start must not exceed region end")
-
-
-class Discrepancy(NamedTuple):
-    """Relative parameter differences between two fits (reference = first)."""
-
-    alpha: float
-    c: float
 
 
 def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .curves import float_power
 from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_integer, check_seed
 
 TOP1_ERROR = "top1_error"
@@ -25,17 +26,6 @@ CROSS_ENTROPY = "cross_entropy"
 
 # Synthetic values are truncated here so log-transforms stay defined.
 VALUE_FLOOR = 1e-12
-
-
-def float_power(base: float, exponent: float) -> float:
-    """``float(base) ** exponent``; NumericError when it leaves the float range."""
-    try:
-        result = float(base) ** exponent
-    except (OverflowError, ZeroDivisionError):
-        result = math.inf
-    if not math.isfinite(result):
-        raise NumericError(f"floating-point overflow: {base!r} ** {exponent!r} exceeds the float range")
-    return result
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,13 @@ class MeasurementSet:
         """The measurement rules as one column mask per row of ``_RULES``: the first point with a mask
         set is the first offender (the error's ``index``), and its first rule set names the error."""
         points = tuple(points)
-        metric, raw_n, raw_replicate, raw_value = zip(*points) if points else ((),) * 4
+        try:
+            metric, raw_n, raw_replicate, raw_value = zip(*points, strict=True) if points else ((),) * 4
+        except ValueError:  # some point is not one row of 4 fields
+            index = next(i for i, point in enumerate(points) if len(point) != 4)
+            error = DataError(f"a measurement has 4 fields (metric, n, replicate, value), got {points[index]!r}")
+            error.index = index
+            raise error from None
         names = tuple(dict.fromkeys(metric))
         codes = np.fromiter(map({m: i for i, m in enumerate(names)}.__getitem__, metric), np.intp, len(metric))
         n, wrong_n = _column(raw_n, {int}.__contains__, np.int64, 1)  # exactly int: a bool is no count or id

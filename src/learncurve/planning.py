@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .curves import PowerLawFit, finite, float_power
 from .errors import NumericError, ParallelCurvesError, ParameterError, check_integer
-from .fitting import PowerLawFit
-from .model import float_power, require_finite
 
 # Tolerance for snapping an analytically integral sample size back onto
 # the integer before taking the ceiling.
@@ -142,7 +141,7 @@ def noise_impact(
         n_clean = _sample_size(fit_clean, target)
         if n_clean == 0.0:
             raise NumericError(f"floating-point underflow: the clean sample size for target {target!r} rounds to 0")
-        mults.append((float(target), float(require_finite(n_noisy / n_clean, f"the multiplier for target {target!r}"))))
+        mults.append((float(target), finite(n_noisy / n_clean, f"the multiplier for target {target!r}")))
     return NoiseImpactReport(
         delta_alpha=fit_noisy.alpha - fit_clean.alpha,
         multipliers=tuple(mults),

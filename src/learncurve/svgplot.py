@@ -15,8 +15,8 @@ import os
 from pathlib import Path
 
 from .artifacts import FitArtifact, format_float, write_files
+from .curves import RegionSegmentation
 from .errors import DataError, NumericError, ParallelCurvesError
-from .fitting import RegionSegmentation
 from .model import MeasurementSet, aggregate
 from .planning import predict_intersection
 

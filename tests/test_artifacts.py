@@ -286,8 +286,8 @@ def at(doc, path):
 
 
 class TestLoaderTypes:
-    """Every integer, bool and float field of every decoded kind, and the kind, method and metric
-    of a fit, are checked on loading, not converted."""
+    """Every integer, bool and float field of every decoded kind, and the kind, method, metric and
+    provenance strings of a fit, are checked on loading, not converted."""
 
     def test_every_decoder_has_a_valid_document(self):
         assert set(VALID_DOCS) == set(artifacts._DECODERS)
@@ -301,7 +301,8 @@ class TestLoaderTypes:
         edits += [(p, v) for p in typed_paths(doc, bool) for x in [at(doc, p)] for v in (int(x), str(x).lower())]
         edits += [(p, v) for p in typed_paths(doc, float) for x in [at(doc, p)] for v in (True, False, str(x))]
         if kind == "fit":
-            edits += [(p, v) for p in [("kind",), ("method",), ("metric",)] for v in (7, None, True)]
+            edits += [(p, v) for p in [("kind",), ("method",), ("metric",), ("input_digest",), ("created_at",)]
+                      for v in (7, None, True)]
         assert len(edits) >= 15
         for (*parents, last), value in edits:
             edited = copy.deepcopy(doc)

@@ -687,7 +687,9 @@ class TestBadInputs:
          ({"metric": 5}, "DataError: metric must be a string and params an object, got 5 and {"),
          ({"params": [["n_min", None]]}, "DataError: metric must be a string and params an object, got 'top1_error' and [["),
          ({"n_range": [10, 10000, 3]}, "n_range must be an increasing pair, got (10, 10000, 3)"),
-         ({"r_squared": "0.9"}, "r_squared must lie in [0, 1], got '0.9'")],
+         ({"r_squared": "0.9"}, "r_squared must lie in [0, 1], got '0.9'"),
+         ({"input_digest": 5, "created_at": 7}, "DataError: input_digest must be a string, got 5"),
+         ({"created_at": 7}, "DataError: created_at must be a string, got 7")],
     )
     def test_fit_field_of_the_wrong_type_is_malformed(self, tmp_path, capsys, override, message):
         code, _, err = run(capsys, "extrapolate", "--fit", str(_fit_file(tmp_path, **override)), "--n", "100")

@@ -161,6 +161,18 @@ class TestMeasurementSet:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             MeasurementSet((Measurement("m", 1, 0, 1.0), point))
 
+    @pytest.mark.parametrize(
+        "rows, index",
+        [([("m", 10, 0, 1.0), ("m", 20, 0, 0.5, "extra")], 1),  # mixed widths
+         ([("m", 10, 0, 1.0, "x"), ("m", 20, 0, 0.5, "y")], 0),  # every row 5 wide
+         ([("m", 10, 0, 1.0), ("m", 20, 0)], 1),
+         ([("m", 10, 0, math.nan), ("m", 20, 0), ("m", 30, 0, 0.5)], 1)],  # before any other rule
+    )
+    def test_row_without_four_fields_rejected_with_its_index(self, rows, index):
+        with pytest.raises(DataError, match=r"^a measurement has 4 fields \(metric, n, replicate, value\), got ") as info:
+            MeasurementSet(rows)
+        assert info.value.index == index
+
     def test_only_does_not_check_the_rules_again(self, monkeypatch):
         rows = [("a", 10, 0, 1.0), ("b", 10, 0, 2.0), ("a", 20, 1, 0.5), ("b", 30, 0, 0.25)]
         mixed = MeasurementSet(rows)
