@@ -32,11 +32,14 @@ def finite(value: float, what: str) -> float:
 
 
 def float_power(base: float, exponent: float) -> float:
-    """``float(base) ** exponent``; NumericError when it leaves the float range."""
+    """``float(base) ** exponent``; NumericError when it leaves the float range, ParameterError
+    when it is not real (a negative base with a non-integer exponent)."""
     try:
         result = float(base) ** exponent
     except (OverflowError, ZeroDivisionError):
         result = math.inf
+    if isinstance(result, complex):
+        raise ParameterError(f"{base!r} ** {exponent!r} is not a real number: a negative base needs an integer exponent")
     if not math.isfinite(result):
         raise NumericError(f"floating-point overflow: {base!r} ** {exponent!r} exceeds the float range")
     return result

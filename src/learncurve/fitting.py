@@ -38,7 +38,7 @@ GN_MAX_ITER = 200
 GN_REL_TOL = 1e-10
 GN_MAX_HALVINGS = 30
 
-# bootstrap_ci refits its draws in blocks of about this many resampled values.
+# bootstrap_ci draws its resamples in blocks, and refits them in batches, of about this many values.
 BLOCK_VALUES = 8192
 
 
@@ -249,7 +249,7 @@ def fit_nonlinear(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
             )
-        a0, log_c0 = _ols(*map(np.log, _xy(sub.n[pos], sub.value[pos], pos_groups, on_means)))
+        a0, log_c0 = map(float, _ols(*map(np.log, _xy(sub.n[pos], sub.value[pos], pos_groups, on_means))))
         c0 = _exp_c(log_c0)
 
     c, a, rss, iterations, converged = (
@@ -355,7 +355,11 @@ def bootstrap_ci(
     stream keyed by ``SeedSequence(seed)``; draw ``i`` takes the counter
     blocks ``[i*w/4, (i+1)*w/4)``, where ``w = 4*ceil(P/4)`` for ``P``
     resampled values, so it depends only on ``(seed, i, P)``, not on the
-    block size or on ``draws``.  Returns the fit on the original data with
+    block size or on ``draws``.  ``BLOCK_VALUES`` bounds the memory twice:
+    a resample block holds about that many resampled values, and a refit
+    batch, a whole number of resample blocks, about that many fitted values
+    (one per N on means, one per value otherwise).  Every draw's refit is
+    the same whatever its batch.  Returns the fit on the original data with
     ``ci_alpha`` attached and ``draws_failed`` set to the number of draws
     whose refit did not converge and was left out (0 for ``loglog``).
     """
@@ -389,14 +393,19 @@ def bootstrap_ci(
     width = -(-len(values) // 4) * 4
     alphas = []
     failures = 0
-    rows = max(1, BLOCK_VALUES // len(values))
-    for first in range(0, draws, rows):
-        block = rng.random((min(rows, draws - first), width))[:, : len(values)]
-        y = values[group_start + (block * group_size).astype(np.intp)]
-        if on_means:
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = reduce_groups(y, counts, np.mean)
-            require_finite(y, "a resampled per-N mean")
+    rows = max(1, BLOCK_VALUES // len(values))  # draws per resample block
+    batch = rows * max(1, BLOCK_VALUES // (rows * len(x)))  # draws per refit: whole resample blocks
+    for first in range(0, draws, batch):
+        ys = []
+        for start in range(first, min(first + batch, draws), rows):
+            block = rng.random((min(rows, draws - start), width))[:, : len(values)]
+            y = values[group_start + (block * group_size).astype(np.intp)]
+            if on_means:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = reduce_groups(y, counts, np.mean)
+                require_finite(y, "a resampled per-N mean")
+            ys.append(y)
+        y = ys[0] if len(ys) == 1 else np.concatenate(ys)
         if method == LOGLOG:
             alphas.append(_ols(log_x, np.log(y))[0])
         else:

@@ -142,8 +142,8 @@ class MeasurementSet:
         points = tuple(points)
         try:
             metric, raw_n, raw_replicate, raw_value = zip(*points, strict=True) if points else ((),) * 4
-        except ValueError:  # some point is not one row of 4 fields
-            index = next(i for i, point in enumerate(points) if len(point) != 4)
+        except (TypeError, ValueError):  # some point is not one row of 4 fields
+            index = next(i for i, point in enumerate(points) if not hasattr(point, "__len__") or len(point) != 4)
             error = DataError(f"a measurement has 4 fields (metric, n, replicate, value), got {points[index]!r}")
             error.index = index
             raise error from None

@@ -603,12 +603,44 @@ class TestBatchedBootstrap:
         assert got == reference_ci_alpha(ms, method, 3, 0.95, 8, on_means)
 
     def test_paper_scale_interval_unchanged(self):
-        # 1000 draws of 35 values: four full blocks and a ragged fifth.
+        # 1000 draws of 35 values: four full resample blocks and a ragged fifth, refitted in one batch.
         ms = synth_curve(TestBootstrap.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
         assert 1000 % (fitting.BLOCK_VALUES // len(ms)) != 0
         for method in ("loglog", "nonlinear"):
             got = bootstrap_ci(ms, method, seed=10).ci_alpha
             assert got == reference_ci_alpha(ms, method, 1000, 0.95, 10, True)
+
+    def test_paper_scale_refits_every_draw_in_one_batch(self):
+        # Five resample blocks of 234 draws x 7 means are one solve of 1000 x 7, after the base fit's.
+        ms = synth_curve(TestBootstrap.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        with mock.patch.object(fitting, "_gauss_newton", wraps=fitting._gauss_newton) as solve:
+            bootstrap_ci(ms, "nonlinear", seed=10)
+        assert [call.args[1].shape for call in solve.call_args_list] == [(1, 7), (1000, 7)]
+
+    @pytest.mark.parametrize("method", ["loglog", "nonlinear"])
+    def test_many_replicates_keep_resample_blocks_and_refit_batches_bounded(self, method):
+        # 14 000 values a draw: one draw per resample block, but 7 means a draw, so a batch holds many.
+        ms = synth_curve(TestBootstrap.MODEL, SIZES, 2000, 0.05, seed=3, metric="m")
+        draws, width = 1500, len(ms)
+        uniforms, fitted = [], []
+        make_generator = np.random.Generator
+
+        def generator(bit_generator):
+            rng = make_generator(bit_generator)
+            return mock.Mock(random=lambda shape: uniforms.append(math.prod(shape)) or rng.random(shape))
+
+        def recording(solver):
+            return lambda x, y, *args: fitted.append((len(x), y.shape)) or solver(x, y, *args)
+
+        with mock.patch.object(np.random, "Generator", generator), \
+                mock.patch.object(fitting, "_ols", recording(fitting._ols)), \
+                mock.patch.object(fitting, "_gauss_newton", recording(fitting._gauss_newton)):
+            got = bootstrap_ci(ms, method, draws=draws, seed=10).ci_alpha
+        assert len(uniforms) == draws and max(uniforms) <= max(width, fitting.BLOCK_VALUES)
+        batches = [shape for _, shape in fitted if len(shape) == 2 and shape[0] > 1]
+        assert sum(rows for rows, _ in batches) == draws and len(batches) > 1
+        assert all(math.prod(shape) <= max(size, fitting.BLOCK_VALUES) for size, shape in fitted)
+        assert got == reference_ci_alpha(ms, method, draws, 0.95, 10, True)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # far-off starts overshoot
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)

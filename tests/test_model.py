@@ -166,7 +166,9 @@ class TestMeasurementSet:
         [([("m", 10, 0, 1.0), ("m", 20, 0, 0.5, "extra")], 1),  # mixed widths
          ([("m", 10, 0, 1.0, "x"), ("m", 20, 0, 0.5, "y")], 0),  # every row 5 wide
          ([("m", 10, 0, 1.0), ("m", 20, 0)], 1),
-         ([("m", 10, 0, math.nan), ("m", 20, 0), ("m", 30, 0, 0.5)], 1)],  # before any other rule
+         ([("m", 10, 0, math.nan), ("m", 20, 0), ("m", 30, 0, 0.5)], 1),  # before any other rule
+         ([("m", 10, 0, 1.0), None], 1),  # not a sequence
+         ([5, ("m", 20, 0, 0.5)], 0)],
     )
     def test_row_without_four_fields_rejected_with_its_index(self, rows, index):
         with pytest.raises(DataError, match=r"^a measurement has 4 fields \(metric, n, replicate, value\), got ") as info:

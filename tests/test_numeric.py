@@ -75,6 +75,22 @@ class TestReproductions:
             with pytest.raises(NumericError, match="^floating-point overflow: "):
                 fit(ms)
 
+    @pytest.mark.parametrize("curve, kind", [(lambda k: 1.0 / (k + 1), "overflow"), (lambda k: 1.0 + k, "underflow")],
+                             ids=["overflow", "underflow"])
+    def test_both_fits_name_an_unrepresentable_c_alike(self, curve, kind):
+        # Counts 2**63 + 10**k are nearly equal in log space, so the start's log c leaves the float range.
+        ms = MeasurementSet([("m", 2**63 + 10**k, r, curve(k) * (1.0 + 0.01 * r)) for k in range(16) for r in range(5)])
+        messages = []
+        for fit in (fit_loglog, fit_nonlinear):
+            with pytest.raises(NumericError, match=rf"^floating-point {kind}: c = exp\(-?[0-9.]+\) leaves") as info:
+                fit(ms)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_negative_count_with_a_fractional_exponent_is_refused(self):
+        with pytest.raises(ParameterError, match=r"^-4\.0 \*\* -0\.5 is not a real number: a negative base needs an integer exponent$"):
+            make_fit(-0.5, 2.0).predict(-4.0)
+
     def test_required_sample_size_overflow_is_numeric(self):
         with pytest.raises(NumericError, match="^floating-point overflow: "):
             required_sample_size(make_fit(-1e-5, 1.0), 0.5)
