@@ -19,7 +19,9 @@ import os
 import re
 import stat
 from dataclasses import dataclass, fields
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -372,51 +374,54 @@ def _manifest_doc(m: SubsetManifest, input_digest: str | None, params: dict | No
     return envelope("manifest", body, {"input_digest": input_digest}, params or {})
 
 
-def _record_fields(m: SubsetManifest, ids, labels) -> Iterator[tuple]:
-    """Each image's record fields in sorted-key order, class then rank order."""
-    recs = m.records
-    for image_id, t, a, rank in zip(ids, recs.labels().tolist(), recs.assigned.tolist(), recs.ranks().tolist()):
-        yield labels[a], rank, image_id, a != t, labels[t]
-
-
 def manifest_to_dict(m: SubsetManifest, input_digest: str | None = None, params: dict | None = None) -> dict:
-    keys = ("assigned_label", "class_rank", "image_id", "noise_flag", "true_label")
-    records = [dict(zip(keys, fields)) for fields in _record_fields(m, m.records.ids, m.classes)]
+    recs, keys = m.records, ("assigned_label", "class_rank", "image_id", "noise_flag", "true_label")
+    columns = recs.assigned.tolist(), recs.ranks().tolist(), recs.ids, recs.labels().tolist()
+    records = [dict(zip(keys, (m.classes[a], rank, i, a != t, m.classes[t]))) for a, rank, i, t in zip(*columns)]
     return _manifest_doc(m, input_digest, params, records)
 
 
 def manifest_from_dict(d: dict) -> SubsetManifest:
-    from .manifest import SubsetManifest
+    """The manifest of a document, its records read field by field as columns."""
+    from .manifest import RECORD_FIELDS, SubsetManifest
 
-    return SubsetManifest(
-        classes=tuple(d["classes"]),
-        per_class_pool=d["per_class_pool"],
-        sizes=tuple(d["sizes"]),
-        seed=d["seed"],
-        records=[(r["image_id"], r["true_label"], r["assigned_label"], r["noise_flag"], r["class_rank"]) for r in d["records"]],
-        diagnostics=d.get("diagnostics", {}),
-    )
-
-
-# One record as dumps_canonical lays it out inside a manifest's records list.
-_RECORD = (
-    '    {\n      "assigned_label": %s,\n      "class_rank": %d,\n      "image_id": %s,\n'
-    '      "noise_flag": %s,\n      "true_label": %s\n    }'
-)
+    classes, per_class_pool, sizes, seed = tuple(d["classes"]), d["per_class_pool"], tuple(d["sizes"]), d["seed"]
+    records = d["records"]
+    try:
+        columns = {name: list(map(itemgetter(name), records)) for name in RECORD_FIELDS}
+    except (KeyError, TypeError):
+        list(map(itemgetter(*RECORD_FIELDS), records))  # raises what reading record by record meets first
+        raise
+    return SubsetManifest(classes, per_class_pool, sizes, seed, columns, d.get("diagnostics", {}))
 
 
 def write_manifest(
     m: SubsetManifest, path: str | Path, input_digest: str | None = None, params: dict | None = None
 ) -> None:
-    """Write ``dumps_canonical(manifest_to_dict(m, input_digest, params))``,
-    formatting the records straight from the manifest's columns."""
+    """Write ``dumps_canonical(manifest_to_dict(m, input_digest, params))``, laying out the
+    records straight from the manifest's columns: per record, the head of its assigned
+    label, its rank, its id and the tail of its (assigned, true) label pair, joined once."""
+    recs = m.records
     try:
-        ids, labels = list(map(encode_basestring, m.records.ids)), list(map(encode_basestring, m.classes))
+        ids, labels = list(map(encode_basestring, recs.ids)), list(map(encode_basestring, m.classes))
     except TypeError:  # a non-string id or class: json lays it out
         return write_json(manifest_to_dict(m, input_digest, params), path)
-    block = ",\n".join([_RECORD % (a, r, i, "true" if f else "false", t) for a, r, i, f, t in _record_fields(m, ids, labels)])
-    text = dumps_canonical(_manifest_doc(m, input_digest, params, []))
-    write_files((path, text.replace('\n  "records": []', '\n  "records": [\n' + block + "\n  ]", 1)))
+    k = len(labels)
+    head = [f'    {{\n      "assigned_label": {a},\n      "class_rank": ' for a in labels]
+    tail = [
+        f',\n      "noise_flag": {"true" if a != t else "false"},\n      "true_label": {labels[t]}\n    }},\n'
+        for a in range(k) for t in range(k)
+    ]
+    rank_text = list(map(str, range(max(recs.counts))))
+    before, _, after = dumps_canonical(_manifest_doc(m, input_digest, params, [])).partition('\n  "records": []')
+    parts = [',\n      "image_id": '] * (5 * len(ids) + 2)
+    parts[0], parts[-1] = before + '\n  "records": [\n', "\n  ]" + after
+    parts[1:-1:5] = map(head.__getitem__, recs.assigned.tolist())
+    parts[2:-1:5] = chain.from_iterable(rank_text[:count] for count in recs.counts)
+    parts[4:-1:5] = ids
+    parts[5:-1:5] = map(tail.__getitem__, (recs.assigned * k + recs.labels()).tolist())
+    parts[-2] = parts[-2][:-2]  # the last record takes no comma
+    write_files((path, "".join(parts)))
 
 
 def read_manifest(path: str | Path) -> SubsetManifest:

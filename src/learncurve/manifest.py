@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate, chain
-from operator import attrgetter
-from typing import Iterable, Mapping
+from operator import attrgetter, ne
+from typing import Iterable
 
 import numpy as np
 
+from .curves import _real
 from .errors import DataError, ParameterError, check_integer, check_seed
 
 _HASH_PERSON = b"lc.manifest"
@@ -49,6 +50,13 @@ def _rng(*parts: object) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(_keyed(*parts).digest(), "big"))
 
 
+def _extended(state: "hashlib.blake2b", key: bytes) -> bytes:
+    """The digest of the hash ``state`` extended by ``key``."""
+    h = state.copy()
+    h.update(key)
+    return h.digest()
+
+
 @dataclass(frozen=True)
 class ImageRecord:
     """One image in the pool: identity, labels, noise state, shuffle rank."""
@@ -68,8 +76,36 @@ class ImageRecord:
             raise ParameterError(f"class_rank must be >= 0, got {self.class_rank}")
 
 
+RECORD_FIELDS = tuple(f.name for f in fields(ImageRecord))
 # An ImageRecord's fields as a row, in field order.
-_row = attrgetter(*(f.name for f in fields(ImageRecord)))
+_row = attrgetter(*RECORD_FIELDS)
+
+
+def _columns(records) -> list[list]:
+    """The five field columns, in field order, of ImageRecords or rows of their fields, or of
+    a mapping of each field name to its column (a list)."""
+    if isinstance(records, Mapping):
+        columns = [records[name] for name in RECORD_FIELDS]
+        if len(set(map(len, columns))) > 1:
+            raise ParameterError(f"record columns must have one length, got {[len(c) for c in columns]}")
+        return columns
+    rows = [_row(r) if isinstance(r, ImageRecord) else r for r in records]
+    rows = [(i, t, a, f, r) for i, t, a, f, r in rows]  # a row of another width fails here
+    return [list(column) for column in zip(*rows)] or [[] for _ in RECORD_FIELDS]
+
+
+def _image_record_rules(columns: list[list]) -> None:
+    """ImageRecord's rules over whole columns: bool flags that mirror a label change and
+    non-negative int ranks.  Otherwise each row holding a flag or rank of another type, or
+    breaking a rule, meets ImageRecord itself in turn (numpy bools and ints pass there)."""
+    _, true, assigned, flags, ranks = columns
+    if set(map(type, flags)) <= {bool} and set(map(type, ranks)) <= {int}:
+        if list(map(ne, assigned, true)) == flags and min(ranks, default=0) >= 0:
+            return
+    for row in zip(*columns):
+        _, t, a, flag, rank = row
+        if type(flag) is not bool or type(rank) is not int or flag != (a != t) or rank < 0:
+            ImageRecord(*row)
 
 
 class ManifestRecords(Sequence):
@@ -130,9 +166,10 @@ class SubsetManifest:
     class count).  ``diagnostics`` records, for classes that carry capture
     groups, how many adjacent same-group pairs remain inside the deepest
     subset after best-effort interleaving.  ``records`` (ImageRecords, or
-    rows of their fields in field order, in any order) is checked and kept
-    as :class:`ManifestRecords`; one with the same classes is trusted, since
-    only this module builds one.
+    rows of their fields in field order, in any order, or a mapping of each
+    field name to its column, a list, as a loader reads them) is checked as columns
+    and kept as :class:`ManifestRecords`; one with the same classes is
+    trusted, since only this module builds one.
     """
 
     classes: tuple[str, ...]
@@ -147,10 +184,8 @@ class SubsetManifest:
         records = self.records
         trusted = isinstance(records, ManifestRecords) and records.classes == tuple(self.classes)
         if not trusted:
-            records = [_row(r) if isinstance(r, ImageRecord) else r for r in records]
-            for image_id, true, assigned, flag, rank in records:  # rows from a file have not met ImageRecord's rules yet
-                if type(flag) is not bool or type(rank) is not int or flag != (assigned != true) or rank < 0:
-                    ImageRecord(image_id, true, assigned, flag, rank)
+            columns = _columns(records)
+            _image_record_rules(columns)  # rows from a file have not met them yet
         k = len(self.classes)
         if k < 1:
             raise ParameterError("manifest needs at least one class")
@@ -173,7 +208,7 @@ class SubsetManifest:
                 f"pool depth is {self.per_class_pool}"
             )
         if not trusted:
-            records = self._checked(records)
+            records = self._checked(*columns)
         if min(records.counts) != self.per_class_pool:
             raise ParameterError(
                 f"per_class_pool={self.per_class_pool} does not match the smallest "
@@ -183,30 +218,45 @@ class SubsetManifest:
             check_seed(n, "diagnostics")
         object.__setattr__(self, "records", records)
 
-    def _checked(self, rows: list[tuple]) -> ManifestRecords:
-        """Images from outside this module, checked record by record (unique ids, labels in
-        the class list, distinct ranks within a class) and then class by class (ranks
-        contiguous from 0), as columns in class-then-rank order."""
+    def _checked(self, ids: list, true: list, assigned: list, _, ranks: list) -> ManifestRecords:
+        """Images from outside this module as columns in class-then-rank order, once they hold
+        unique ids, labels in the class list and, per class, ranks distinct and contiguous from
+        0: then class start + rank gives each image its own slot.  Otherwise the rules are walked
+        image by image to name the first offender."""
+        n, code = len(ids), {c: i for i, c in enumerate(self.classes)}
+        try:
+            t, a = (np.fromiter(map(code.__getitem__, labels), np.intp, n) for labels in (true, assigned))
+            unique = len(set(ids)) == n
+        except (KeyError, TypeError):  # a label outside the class list, or an unhashable id or label
+            unique = False
+        if unique and max(ranks, default=-1) < n:  # so no rank meets numpy beyond int64
+            counts = np.bincount(t, minlength=len(self.classes))
+            slot = (np.cumsum(counts) - counts)[t] + np.array(ranks, dtype=np.intp)
+            if (np.bincount(slot, minlength=n) == 1).all():
+                order = np.empty(n, dtype=np.intp)
+                order[slot] = np.arange(n)
+                return ManifestRecords(self.classes, map(ids.__getitem__, order.tolist()), counts.tolist(), a[order])
+        self._first_offender(ids, true, assigned, ranks)
+
+    def _first_offender(self, ids: list, true: list, assigned: list, ranks: list) -> None:
+        """Raise the error of the first image breaking a rule of :meth:`_checked`, checked image
+        by image (unique ids, labels in the class list, distinct ranks within a class), or else
+        of the first class whose ranks are not contiguous from 0."""
         code = {c: i for i, c in enumerate(self.classes)}
-        ids, ranks = set(), [set() for _ in self.classes]
-        for image_id, true, assigned, _, rank in rows:
-            if image_id in ids:
+        seen, taken_by_class = set(), [set() for _ in self.classes]
+        for image_id, t, a, rank in zip(ids, true, assigned, ranks):
+            if image_id in seen:
                 raise DataError(f"duplicate image id {image_id!r}")
-            ids.add(image_id)
-            if true not in code or assigned not in code:
+            seen.add(image_id)
+            if t not in code or a not in code:
                 raise DataError(f"image {image_id!r} has a label outside the class list")
-            taken = ranks[code[true]]
+            taken = taken_by_class[code[t]]
             if rank in taken:
-                raise DataError(f"duplicate rank {rank} in class {true!r}")
+                raise DataError(f"duplicate rank {rank} in class {t!r}")
             taken.add(rank)
-        counts = [len(taken) for taken in ranks]
-        for cls, taken in zip(self.classes, ranks):
+        for cls, taken in zip(self.classes, taken_by_class):
             if taken != set(range(len(taken))):
                 raise DataError(f"ranks of class {cls!r} are not contiguous from 0")
-        true, assigned = (np.array([code[row[j]] for row in rows], dtype=np.intp) for j in (1, 2))
-        order = np.empty(len(rows), dtype=np.intp)  # every rank is now below its class count
-        order[(np.cumsum(counts) - counts)[true] + np.array([row[4] for row in rows], dtype=np.intp)] = np.arange(len(rows))
-        return ManifestRecords(self.classes, [rows[i][0] for i in order.tolist()], counts, assigned[order])
 
     @property
     def n_classes(self) -> int:
@@ -214,6 +264,7 @@ class SubsetManifest:
 
     def _depth(self, size: int) -> int:
         """Images per class in the subset of the given total size."""
+        size = check_integer(size, "size")
         if size not in self.sizes:
             raise DataError(f"size {size} is not one of the manifest subsets {self.sizes}")
         return size // self.n_classes
@@ -288,15 +339,35 @@ def build_nested_subsets(
     sizes = tuple(check_integer(s, "sizes") for s in sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
-    for image_id, class_name, group in images:
-        if image_id in seen_ids:
-            raise DataError(f"duplicate image id {image_id!r}")
+    first_row: dict[str, int] = {}  # the index of each class's first row (each row read adds one id)
+    for row in images:
+        try:
+            image_id, class_name, group = row
+            if image_id in seen_ids:
+                raise DataError(f"duplicate image id {image_id!r}")
+            members = by_class.setdefault(class_name, [])
+        except (TypeError, ValueError):
+            raise DataError(
+                f"image row {len(seen_ids)} must be (image_id, class, capture_group) with a hashable id and class, "
+                f"got {row!r}"
+            ) from None
+        if not members:
+            first_row[class_name] = len(seen_ids)
         seen_ids.add(image_id)
-        by_class.setdefault(class_name, []).append((image_id, group or None))
+        members.append((image_id, group or None))
     if not by_class:
         raise DataError("no images supplied")
 
-    classes = tuple(sorted(by_class))
+    try:
+        classes = tuple(sorted(by_class))
+    except TypeError:  # name the first class that does not order against the first one
+        first = next(iter(by_class))
+        for cls, row_index in first_row.items():
+            try:
+                first < cls
+            except TypeError:
+                raise DataError(f"image row {row_index}: class {cls!r} does not sort with class {first!r}") from None
+        raise
     k = len(classes)
     depth = max(sizes, default=0) // k  # SubsetManifest holds the size rules
     for cls in classes:
@@ -334,7 +405,7 @@ def inject_label_noise(m: SubsetManifest, p: float, seed: int) -> SubsetManifest
     identically in every subset containing it.  Labels are re-derived from
     the true labels, replacing any noise injected earlier.
     """
-    if not 0.0 <= p <= 1.0:
+    if not _real(p, 0.0, 1.0):
         raise ParameterError(f"noise probability must lie in [0, 1], got {p}")
     seed = check_seed(seed)
     if m.n_classes < 2:
@@ -344,17 +415,13 @@ def inject_label_noise(m: SubsetManifest, p: float, seed: int) -> SubsetManifest
     true = recs.labels()
     assigned = true.copy()
     if p > 0.0:
+        keys = [f"{image_id}\x1f".encode("utf-8") for image_id in recs.ids]
         flip, label = _keyed(seed, "flip"), _keyed(seed, "label")
-        at, picks = [], []
-        for i, image_id in enumerate(recs.ids):
-            key, h = f"{image_id}\x1f".encode("utf-8"), flip.copy()
-            h.update(key)
-            if int.from_bytes(h.digest()[:8], "big") / 2.0**64 < p:
-                h = label.copy()
-                h.update(key)
-                at.append(i)
-                picks.append(int.from_bytes(h.digest()[:8], "big") % (m.n_classes - 1))
-        at, pick = np.array(at, dtype=np.intp), np.array(picks, dtype=np.intp)
+        digests = b"".join([_extended(flip, key) for key in keys])
+        # The first 8 bytes of each 16-byte digest; a uint64 rounds to float64 as an int does.
+        at = np.flatnonzero(np.frombuffer(digests, dtype=">u8")[::2] / 2.0**64 < p)
+        picks = [int.from_bytes(_extended(label, keys[i])[:8], "big") % (m.n_classes - 1) for i in at.tolist()]
+        pick = np.array(picks, dtype=np.intp)
         assigned[at] = pick + (pick >= true[at])  # pick indexes the other classes, in order
     return replace(m, records=ManifestRecords(m.classes, recs.ids, recs.counts, assigned))
 
@@ -372,7 +439,7 @@ def holdout_split(
     sorted lexicographically.
     """
     depth = m._depth(size)
-    if not 0.0 < fraction < 1.0:
+    if not (_real(fraction) and 0.0 < fraction < 1.0):
         raise ParameterError(f"holdout fraction must lie in (0, 1), got {fraction}")
     seed = check_seed(seed)
 

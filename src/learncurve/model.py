@@ -189,7 +189,9 @@ class MeasurementSet:
     def points(self) -> tuple[Measurement, ...]:
         if self._points is None:
             metric = map(self._names.__getitem__, self._codes.tolist())
-            self._points = tuple(map(Measurement, metric, self.n.tolist(), self.replicate.tolist(), self.value.tolist()))
+            shared, n = {}, self.n.tolist()
+            n = map(shared.setdefault, n, n)  # the points of one N share one int
+            self._points = tuple(map(Measurement, metric, n, self.replicate.tolist(), self.value.tolist()))
         return self._points
 
     def __eq__(self, other):

@@ -1,6 +1,7 @@
 """Tests for nested-subset manifests, label noise, and holdout splits."""
 
 import dataclasses
+import hashlib
 import itertools
 import re
 import time
@@ -23,7 +24,7 @@ from learncurve import (
 from learncurve import artifacts
 from learncurve.artifacts import dumps_canonical, manifest_from_dict, manifest_to_dict, read_manifest, write_manifest
 from learncurve.cli import main as cli_main
-from learncurve.manifest import _interleave
+from learncurve.manifest import RECORD_FIELDS, _interleave
 
 
 def make_pool(classes=3, per_class=40, groups_per_class=0):
@@ -136,6 +137,28 @@ class TestBuild:
             build_nested_subsets(pool, sizes, seed=1)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("bad, message", [
+        (("img_x", "class1"), "image row 4 must be (image_id, class, capture_group) with a hashable id and class, "
+                              "got ('img_x', 'class1')"),
+        ((["img_x"], "class1", None), "image row 4 must be (image_id, class, capture_group) with a hashable id "
+                                      "and class, got (['img_x'], 'class1', None)"),
+        (("img_x", ["class1"], None), "image row 4 must be (image_id, class, capture_group) with a hashable id "
+                                      "and class, got ('img_x', ['class1'], None)"),
+        (5, "image row 4 must be (image_id, class, capture_group) with a hashable id and class, got 5"),
+        (("img_x", None, None), "image row 4: class None does not sort with class 'class0'"),
+    ], ids=["two-fields", "unhashable-id", "unhashable-class", "no-row", "none-class"])
+    def test_malformed_rows_are_refused_by_index(self, bad, message):
+        pool = make_pool(2, 4)
+        pool.insert(4, bad)
+        with pytest.raises(DataError) as info:
+            build_nested_subsets(pool, [4], seed=1)
+        assert str(info.value) == message
+
+    def test_a_duplicate_id_wins_over_a_malformed_class(self):
+        pool = make_pool(2, 4) + [("img_00_0000", ["class1"], None)]
+        with pytest.raises(DataError, match="^duplicate image id 'img_00_0000'$"):
+            build_nested_subsets(pool, [4], seed=1)
+
 
 class TestInterleave:
     def test_no_adjacent_groups_when_feasible(self):
@@ -225,6 +248,16 @@ class TestInjectNoise:
         with pytest.raises(ParameterError):
             inject_label_noise(self.build(), 1.5, seed=1)
 
+    @pytest.mark.parametrize("p", [None, "0.1", 1j, True, float("nan")])
+    def test_probability_must_be_a_real_number(self, p):
+        with pytest.raises(ParameterError, match=r"^noise probability must lie in \[0, 1\], got "):
+            inject_label_noise(self.build(), p, seed=1)
+
+    @pytest.mark.parametrize("u", [2**64 - 1, 2**63 + 2**10, 2**63 + 2**10 + 1, 2**63 + 3 * 2**10, 2**53 + 1, 2**54 + 2, 1, 0])
+    def test_flip_draws_round_as_ints_do(self, u):
+        as_column = np.frombuffer(u.to_bytes(8, "big"), dtype=">u8") / 2.0**64
+        assert as_column.tolist() == [u / 2.0**64]
+
 
 class TestHoldout:
     def build(self, classes=9, per_class=110, sizes=(90, 900)):
@@ -260,7 +293,20 @@ class TestHoldout:
         with pytest.raises(DataError, match="not one of"):
             holdout_split(self.build(), 450, seed=1)
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2])
+    @pytest.mark.parametrize("call", [
+        lambda m: holdout_split(m, 90.0), lambda m: restrict_to_size(m, 90.0), lambda m: m.subset_ids(90.0),
+        lambda m: m.subset_records(90.0), lambda m: m.flipped_ids(90.0), lambda m: m.subset_ids("90"),
+    ], ids=["holdout", "restrict", "subset_ids", "subset_records", "flipped_ids", "str"])
+    def test_sizes_that_are_not_integers_are_refused(self, call):
+        with pytest.raises(ParameterError, match=r"^size must be a non-negative integer, got '?90(\.0)?'?$"):
+            call(self.build())
+
+    def test_numpy_integer_size_matches_int(self):
+        m = self.build()
+        assert holdout_split(m, np.int64(90), seed=1) == holdout_split(m, 90, seed=1)
+        assert restrict_to_size(m, np.int64(90)) == restrict_to_size(m, 90)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, None, "0.2", True, 1j, float("nan")])
     def test_fraction_domain(self, fraction):
         with pytest.raises(ParameterError):
             holdout_split(self.build(), 900, fraction=fraction, seed=1)
@@ -404,6 +450,25 @@ def reference_image_rules(classes, per_class_pool, records):
             f"per_class_pool={per_class_pool} does not match the smallest "
             f"class count {min(counts.values(), default=0)}"
         )
+
+
+def reference_noise(m, p, seed):
+    """The assigned label index of each image, decided and drawn image by image."""
+
+    def digest(*parts):
+        h = hashlib.blake2b(digest_size=16, person=b"lc.manifest")
+        for part in parts:
+            h.update(str(part).encode("utf-8") + b"\x1f")
+        return int.from_bytes(h.digest()[:8], "big")
+
+    assigned = []
+    for r in m.records:
+        true = m.classes.index(r.true_label)
+        if p > 0.0 and digest(seed, "flip", r.image_id) / 2.0**64 < p:
+            pick = digest(seed, "label", r.image_id) % (m.n_classes - 1)
+            true = pick + (pick >= true)
+        assigned.append(true)
+    return assigned
 
 
 def outcome(fn, *args):
@@ -584,6 +649,19 @@ class TestColumns:
         derived = [m, noisy, *(restrict_to_size(x, s) for x in (m, noisy) for s in m.sizes)]
         for x in derived:
             reference_image_rules(x.classes, x.per_class_pool, tuple(x.records))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(m=built_manifests(), p=st.sampled_from([1e-12, 0.05, 0.4, 0.9999, 1.0]), seed=st.integers(0, 50))
+    def test_flips_match_the_per_image_rule(self, m, p, seed):
+        assert inject_label_noise(m, p, seed).records.assigned.tolist() == reference_noise(m, p, seed)
+
+    def test_record_columns_make_the_same_manifest_as_rows(self):
+        m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)
+        columns = {name: [getattr(r, name) for r in reversed(m.records)] for name in RECORD_FIELDS}
+        assert SubsetManifest(m.classes, m.per_class_pool, m.sizes, m.seed, columns, m.diagnostics) == m
+        columns["class_rank"].pop()
+        with pytest.raises(ParameterError, match=r"^record columns must have one length, got \[21, 21, 21, 21, 20\]$"):
+            SubsetManifest(m.classes, m.per_class_pool, m.sizes, m.seed, columns, m.diagnostics)
 
     def test_loaded_records_in_any_order(self):
         m = inject_label_noise(build_nested_subsets(make_pool(3, 7), [6, 12], seed=2), 0.5, seed=3)

@@ -189,6 +189,13 @@ class TestMeasurementSet:
         assert single.only("a") is single
         assert mixed.only("c").points == ()
 
+    @pytest.mark.parametrize("sizes", [[1000, 5000, 300], [1000, 2**70, 300]])
+    def test_points_of_one_n_share_one_int(self, sizes):
+        rows = [("a", int(str(n)), r, 0.5) for r in range(4) for n in sizes] + [("b", 1000, 0, 0.5)]
+        ms = MeasurementSet(rows)
+        assert len({id(p.n) for p in ms.points}) == len(sizes)
+        assert [p.n for p in ms.points] == [row[1] for row in rows]
+
 
 class TestGroupByN:
     def test_ascending_n_values_in_point_order(self):
