@@ -13,15 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import NumericError, ParameterError, check_seed
+from .errors import NumericError, ParameterError, check_seed, is_real
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
-
-
-def _real(x, lo=-math.inf, hi=math.inf) -> bool:
-    """Whether ``x`` is a real number in [lo, hi]: an int or a float, but no bool, and finite."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
 
 
 def finite(value: float, what: str) -> float:
@@ -71,7 +66,7 @@ class PowerLawFit:
 
     def __post_init__(self):
         for name in ("alpha", "c", "rss"):
-            if not _real(getattr(self, name)):
+            if not is_real(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.c > 0:
             raise ParameterError(f"fitted c must be positive, got {self.c}")
@@ -81,10 +76,10 @@ class PowerLawFit:
             raise ParameterError(f"n_range must be an increasing pair, got {self.n_range!r}")
         if self.rss < 0:
             raise ParameterError(f"rss must be non-negative, got {self.rss}")
-        if self.r_squared is not None and not _real(self.r_squared, 0.0, 1.0):
+        if self.r_squared is not None and not is_real(self.r_squared, 0.0, 1.0):
             raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
         ci = self.ci_alpha
-        if ci is not None and not (len(ci) == 2 and _real(ci[0]) and _real(ci[1], ci[0])):
+        if ci is not None and not (len(ci) == 2 and is_real(ci[0]) and is_real(ci[1], ci[0])):
             raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {ci!r}")
         for name in ("iterations", "draws_failed"):
             if getattr(self, name) is not None:
@@ -115,7 +110,7 @@ class RegionSegmentation:
             check_seed(self.n_end_power_law, "n_end_power_law")
         for n, r_squared in self.diagnostics.items():
             check_seed(n, "candidate_n")
-            if r_squared is not None and not _real(r_squared, 0.0, 1.0):
+            if r_squared is not None and not is_real(r_squared, 0.0, 1.0):
                 raise ParameterError(f"r_squared at candidate {n} must be None or lie in [0, 1], got {r_squared!r}")
         if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:
             raise ParameterError("region start must not exceed region end")

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and its integer rules."""
+"""Exception hierarchy shared across the toolkit, and its integer and real-number rules."""
 
+import math
 import operator
 
 
@@ -71,3 +72,12 @@ def check_seed(seed, name: str = "seed") -> int:
     if value < 0:
         raise ParameterError(f"{name} must be a non-negative integer, got {seed!r}")
     return value
+
+
+def is_real(x, lo=-math.inf, hi=math.inf) -> bool:
+    """Whether ``x`` is a real number in [lo, hi]: an int or a float, but no bool, and within the
+    float range (so finite)."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
+    except OverflowError:  # an int beyond the float range
+        return False

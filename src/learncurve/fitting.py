@@ -30,7 +30,9 @@ from .errors import (
     NoRegionError,
     NumericError,
     ParameterError,
+    check_integer,
     check_seed,
+    is_real,
 )
 from .model import Groups, MeasurementSet, group_by_n, group_means, reduce_groups, require_finite, window
 
@@ -42,15 +44,17 @@ GN_MAX_HALVINGS = 30
 BLOCK_VALUES = 8192
 
 
-def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
-    """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N.
+def _distinct(ns: list[int]) -> int:
+    """How many distinct sample counts the ascending counts ``ns`` hold, as the fits see N: as the log
+    of a float, so counts that round to one float, or to floats with one log, are one count."""
+    log_n = np.log(np.asarray(ns, dtype=float))
+    return int(log_n.size > 0) + int(np.count_nonzero(log_n[1:] != log_n[:-1]))
 
-    N counts as the fits see it, as the log of a float: counts that round to one float, or to
-    floats with one log, are one sample count, so the ascending logs change once per count.
-    """
+
+def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
+    """The window of ``ms`` in [n_min, n_max]; it must hold >= 2 distinct N (see :func:`_distinct`)."""
     sub, groups = window(ms, n_min, n_max)
-    log_n = np.log(np.asarray(groups.n, dtype=float))
-    distinct = int(log_n.size > 0) + int(np.count_nonzero(log_n[1:] != log_n[:-1]))
+    distinct = _distinct(groups.n)
     if distinct < 2:
         raise InsufficientDataError(
             f"need at least 2 distinct sample counts in [{n_min}, {n_max}], found {distinct}"
@@ -168,10 +172,10 @@ def _gauss_newton(
     c <= 0 are rejected the same way.  If no improving step exists the
     iterate is stationary and the row has converged; otherwise convergence
     means a relative rss decrease below ``GN_REL_TOL``.  A row whose normal
-    matrix is singular stops unconverged.  Rows that stop leave the working
-    set, and every row goes through the same floating-point operations as a
-    solve of that row alone.  Returns arrays (c, alpha, rss, iterations,
-    converged) with one entry per row.
+    matrix is singular stops unconverged.  Each iteration gathers the iterates of the rows
+    still iterating through one index, ``live``, and writes them back (their data rows drop
+    out as rows stop); every row goes through the same floating-point operations as a solve
+    of that row alone.  Returns arrays (c, alpha, rss, iterations, converged), one per row.
     """
     ln_n = np.log(n)
     c = np.full(len(y), c0, dtype=float)
@@ -179,9 +183,9 @@ def _gauss_newton(
     rss = ((y - c[:, None] * n ** a[:, None]) ** 2).sum(axis=1)
     iterations = np.full(len(y), GN_MAX_ITER)
     converged = np.zeros(len(y), dtype=bool)
-    # The rows still iterating, and their data and iterates.
-    live, y_l, c_l, a_l, rss_l = np.arange(len(y)), y, c, a, rss
+    live, y_l = np.arange(len(y)), y
     for iteration in range(1, GN_MAX_ITER + 1):
+        c_l, a_l, rss_l = c[live], a[live], rss[live]
         pow_na = n ** a_l[:, None]
         f = c_l[:, None] * pow_na
         jac = np.stack((pow_na, f * ln_n), axis=-1)  # d/dc, d/dalpha
@@ -208,16 +212,12 @@ def _gauss_newton(
         # A row without a descent step is stationary: its rss change is zero.
         drop = np.divide(rss_l - new_rss, rss_l, out=np.zeros(len(live)), where=new_rss < rss_l)
         stop = drop < GN_REL_TOL
+        c[live], a[live], rss[live] = new_c, new_a, new_rss
         if stop.any():
-            done, keep = live[stop], ~stop
-            c[done], a[done], rss[done] = new_c[stop], new_a[stop], new_rss[stop]
-            converged[done] = solved[stop]
-            iterations[done] = iteration
-            live, y_l, new_c, new_a, new_rss = (v[keep] for v in (live, y_l, new_c, new_a, new_rss))
-        c_l, a_l, rss_l = new_c, new_a, new_rss
+            converged[live[stop]], iterations[live[stop]] = solved[stop], iteration
+            live, y_l = live[~stop], y_l[~stop]
         if len(live) == 0:
             break
-    c[live], a[live], rss[live] = c_l, a_l, rss_l
     return c, a, rss, iterations, converged
 
 
@@ -244,7 +244,7 @@ def fit_nonlinear(
     else:
         pos = sub.value > 0.0
         pos_groups = group_by_n(sub.n[pos], sub.value[pos])
-        if len(pos_groups.n) < 2:
+        if _distinct(pos_groups.n) < 2:
             raise InsufficientDataError(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
@@ -305,11 +305,13 @@ def detect_power_law_region(
     the trailing means flatten: the log-log slope of the last three grid
     points must exceed a quarter of the fitted exponent.
     """
-    if not 0.0 <= r2_threshold <= 1.0:
+    if not is_real(r2_threshold, 0.0, 1.0):
         raise ParameterError(f"r2_threshold must lie in [0, 1], got {r2_threshold}")
+    if not (plateau is None or is_real(plateau)):
+        raise ParameterError(f"plateau must be None or a finite real number, got {plateau!r}")
     grid = ms.distinct_n()
-    if len(grid) < 4:
-        raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")
+    if _distinct(grid) < 4:
+        raise InsufficientDataError(f"need at least 4 distinct sample counts, found {_distinct(grid)}")
     sub, groups = window(ms)
     _require_positive(sub)
     n_arr, means = _xy(sub.n, sub.value, groups, True)
@@ -365,9 +367,10 @@ def bootstrap_ci(
     """
     if method not in (LOGLOG, NONLINEAR):
         raise ParameterError(f"unknown fit method {method!r}")
+    draws = check_integer(draws, "draws")
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    if not 0.0 < confidence < 1.0:
+    if not (is_real(confidence) and 0.0 < confidence < 1.0):
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
     seed = check_seed(seed)
 
@@ -405,7 +408,7 @@ def bootstrap_ci(
                     y = reduce_groups(y, counts, np.mean)
                 require_finite(y, "a resampled per-N mean")
             ys.append(y)
-        y = ys[0] if len(ys) == 1 else np.concatenate(ys)
+        y = np.concatenate(ys)
         if method == LOGLOG:
             alphas.append(_ols(log_x, np.log(y))[0])
         else:

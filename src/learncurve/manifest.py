@@ -27,8 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .curves import _real
-from .errors import DataError, ParameterError, check_integer, check_seed
+from .errors import DataError, ParameterError, check_integer, check_seed, is_real
 
 _HASH_PERSON = b"lc.manifest"
 
@@ -321,6 +320,22 @@ def _interleave(
     return items, collisions
 
 
+def _sorted(items, what: str, rows) -> list:
+    """``sorted(items)``; when two items do not order, a DataError naming the first row whose key
+    does not order against the first row's key, from ``rows``: (row index, key) pairs in row order."""
+    try:
+        return sorted(items)
+    except TypeError:
+        rows = list(rows)
+        first = rows[0][1]
+        for index, key in rows:
+            try:
+                first < key
+            except TypeError:
+                raise DataError(f"image row {index}: {what} {key!r} does not sort with {what} {first!r}") from None
+        raise
+
+
 def build_nested_subsets(
     images: Iterable[tuple[str, str, str | None]],
     sizes: Iterable[int],
@@ -339,7 +354,7 @@ def build_nested_subsets(
     sizes = tuple(check_integer(s, "sizes") for s in sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
-    first_row: dict[str, int] = {}  # the index of each class's first row (each row read adds one id)
+    row_class: list[str] = []  # each row's class, in row order
     for row in images:
         try:
             image_id, class_name, group = row
@@ -351,23 +366,13 @@ def build_nested_subsets(
                 f"image row {len(seen_ids)} must be (image_id, class, capture_group) with a hashable id and class, "
                 f"got {row!r}"
             ) from None
-        if not members:
-            first_row[class_name] = len(seen_ids)
         seen_ids.add(image_id)
+        row_class.append(class_name)
         members.append((image_id, group or None))
     if not by_class:
         raise DataError("no images supplied")
 
-    try:
-        classes = tuple(sorted(by_class))
-    except TypeError:  # name the first class that does not order against the first one
-        first = next(iter(by_class))
-        for cls, row_index in first_row.items():
-            try:
-                first < cls
-            except TypeError:
-                raise DataError(f"image row {row_index}: class {cls!r} does not sort with class {first!r}") from None
-        raise
+    classes = tuple(_sorted(by_class, "class", enumerate(row_class)))
     k = len(classes)
     depth = max(sizes, default=0) // k  # SubsetManifest holds the size rules
     for cls in classes:
@@ -380,7 +385,8 @@ def build_nested_subsets(
     ids: list[str] = []
     diagnostics: dict[str, int] = {}
     for cls in classes:
-        members = sorted(by_class[cls])
+        rows = (i for i, c in enumerate(row_class) if c == cls)
+        members = _sorted(by_class[cls], "image id", zip(rows, (image_id for image_id, _ in by_class[cls])))
         perm = _rng(seed, "shuffle", cls).permutation(len(members))
         ordered = [members[i] for i in perm.tolist()]
         if any(group is not None for _, group in ordered):
@@ -405,8 +411,8 @@ def inject_label_noise(m: SubsetManifest, p: float, seed: int) -> SubsetManifest
     identically in every subset containing it.  Labels are re-derived from
     the true labels, replacing any noise injected earlier.
     """
-    if not _real(p, 0.0, 1.0):
-        raise ParameterError(f"noise probability must lie in [0, 1], got {p}")
+    if not is_real(p, 0.0, 1.0):
+        raise ParameterError(f"noise probability must lie in [0, 1], got {p!r}")
     seed = check_seed(seed)
     if m.n_classes < 2:
         raise ParameterError("need at least 2 classes to pick a wrong label")
@@ -439,8 +445,8 @@ def holdout_split(
     sorted lexicographically.
     """
     depth = m._depth(size)
-    if not (_real(fraction) and 0.0 < fraction < 1.0):
-        raise ParameterError(f"holdout fraction must lie in (0, 1), got {fraction}")
+    if not (is_real(fraction) and 0.0 < fraction < 1.0):
+        raise ParameterError(f"holdout fraction must lie in (0, 1), got {fraction!r}")
     seed = check_seed(seed)
 
     k = m.n_classes

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .curves import float_power
-from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_integer, check_seed
+from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_integer, check_seed, is_real
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -103,14 +103,20 @@ class AggregateRow(NamedTuple):
     count: int
 
 
-def _column(entries, ok, dtype, placeholder) -> tuple[np.ndarray, np.ndarray]:
-    """``entries`` as a ``dtype`` column, or as an object column of Python ints once an int leaves
-    int64, and the mask of the entries whose type fails ``ok``; those enter the column as
-    ``placeholder``.  A column of one good type is built without a per-entry check."""
+def _typed(entries, ok, placeholder) -> tuple[Sequence, np.ndarray]:
+    """``entries`` with each entry whose type fails ``ok`` replaced by ``placeholder``, and the
+    mask of those entries.  Entries of good types only are passed on without a per-entry check."""
     wrong = np.zeros(len(entries), dtype=bool)
     if not all(map(ok, set(map(type, entries)))):
         wrong = np.array([not ok(type(entry)) for entry in entries], dtype=bool)
         entries = [placeholder if w else e for e, w in zip(entries, wrong.tolist())]
+    return entries, wrong
+
+
+def _column(entries, ok, dtype, placeholder) -> tuple[np.ndarray, np.ndarray]:
+    """``entries`` as a ``dtype`` column, or as an object column of Python ints once an int leaves
+    int64, and the mask of the entries whose type fails ``ok`` (see :func:`_typed`)."""
+    entries, wrong = _typed(entries, ok, placeholder)
     try:
         return np.array(entries, dtype=dtype), wrong
     except OverflowError:
@@ -124,6 +130,7 @@ _RULES = (
     (ParameterError, "replicate id must be a non-negative int, got {replicate!r}"),
     (ParameterError, "value must be a finite non-negative float, got {value!r}"),
     (ParameterError, "metric name must be non-empty"),
+    (ParameterError, "metric name must be a string, got {metric!r}"),
     (DataError, "duplicate observation for {key}"),
 )
 
@@ -147,8 +154,10 @@ class MeasurementSet:
             error = DataError(f"a measurement has 4 fields (metric, n, replicate, value), got {points[index]!r}")
             error.index = index
             raise error from None
-        names = tuple(dict.fromkeys(metric))
-        codes = np.fromiter(map({m: i for i, m in enumerate(names)}.__getitem__, metric), np.intp, len(metric))
+        # A metric that is neither a string nor None (which the non-empty rule refuses) is not hashed.
+        keys, wrong_metric = _typed(metric, lambda t: t is type(None) or issubclass(t, str), None)
+        names = tuple(dict.fromkeys(keys))
+        codes = np.fromiter(map({m: i for i, m in enumerate(names)}.__getitem__, keys), np.intp, len(keys))
         n, wrong_n = _column(raw_n, {int}.__contains__, np.int64, 1)  # exactly int: a bool is no count or id
         replicate, wrong_replicate = _column(raw_replicate, {int}.__contains__, np.int64, 0)
         value, wrong_value = _column(raw_value, lambda t: issubclass(t, float), float, 0.0)
@@ -161,14 +170,15 @@ class MeasurementSet:
             n > sys.float_info.max,
             wrong_replicate | (replicate < 0),
             wrong_value | ~(np.isfinite(value) & (value >= 0.0)),
-            np.array([not name for name in names], dtype=bool)[codes],
+            np.array([not name for name in names], dtype=bool)[codes] & ~wrong_metric,
+            wrong_metric,
             duplicate,
         ])
         if masks.any():
             index = int(masks.any(axis=0).argmax())
             error_class, message = _RULES[int(masks[:, index].argmax())]
             m, n, replicate, value = metric[index], raw_n[index], raw_replicate[index], raw_value[index]
-            error = error_class(message.format(n=n, replicate=replicate, value=value, key=(m, n, replicate)))
+            error = error_class(message.format(metric=m, n=n, replicate=replicate, value=value, key=(m, n, replicate)))
             error.index = index
             raise error
         self._store(names, codes, n, replicate, value)
@@ -251,6 +261,9 @@ def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[MeasurementSet, 
     metrics = ms.metrics()
     if len(metrics) != 1:
         raise ParameterError(f"expected a single metric, got {metrics}; use only()")
+    for name, bound in (("n_min", n_min), ("n_max", n_max)):
+        if not (bound is None or is_real(bound)):
+            raise ParameterError(f"{name} must be None or a finite real number, got {bound!r}")
     keep = (n_min is None or ms.n >= n_min) & (n_max is None or ms.n <= n_max)
     sub = ms if np.all(keep) else ms._take(keep)
     return sub, group_by_n(sub.n, sub.value)

@@ -188,6 +188,12 @@ class TestFitNonlinear:
         assert multiplied.alpha == pytest.approx(base.alpha, rel=1e-8)
         assert multiplied.c == pytest.approx(base.c * s, rel=1e-8)
 
+    def test_start_needs_two_distinct_counts_with_positive_values_as_the_fits_see_them(self):
+        # 2**63 + 1 and 2**63 + 2 are one float, so the positive values sit at one sample count.
+        ms = MeasurementSet([("m", n, 0, v) for n, v in ((10, 0.0), (20, 0.0), (2**63 + 1, 0.5), (2**63 + 2, 0.4))])
+        with pytest.raises(InsufficientDataError, match="^cannot derive an initial guess: fewer than 2 distinct"):
+            fit_nonlinear(ms)
+
     def test_zero_values_allowed_with_explicit_init(self):
         rows = [("m", 10, 0, 1.0), ("m", 100, 0, 0.1), ("m", 10000, 0, 0.0)]
         ms = MeasurementSet(rows)
@@ -246,6 +252,8 @@ class TestPowerLawFitValidation:
             dict(ci_alpha=(-0.6, -0.5, -0.4)),
             dict(ci_alpha=("-0.6", -0.4)),
             dict(ci_alpha=(-0.6, True)),
+            dict(alpha=-(10**400)),  # an int beyond the float range
+            dict(c=2**1100),
         ],
     )
     def test_invalid(self, kwargs):
@@ -264,6 +272,36 @@ def test_no_module_calls_np_unique():
     sources = sorted(Path(fitting.__file__).parent.glob("*.py"))
     assert len(sources) >= 9
     assert [p.name for p in sources if re.search(r"\bunique\s*\(", p.read_text())] == []
+
+
+@pytest.mark.parametrize("call, kwargs, message", [
+    (bootstrap_ci, dict(draws=1.5), "draws must be a non-negative integer, got 1.5"),
+    (bootstrap_ci, dict(draws=None), "draws must be a non-negative integer, got None"),
+    (bootstrap_ci, dict(draws=True), "draws must be a non-negative integer, got True"),
+    (bootstrap_ci, dict(draws=0), "draws must be >= 1, got 0"),
+    (bootstrap_ci, dict(draws=np.int64(-3)), "draws must be >= 1, got -3"),
+    (bootstrap_ci, dict(confidence=None), "confidence must lie in (0, 1), got None"),
+    (bootstrap_ci, dict(confidence="0.9"), "confidence must lie in (0, 1), got 0.9"),
+    (bootstrap_ci, dict(confidence=True), "confidence must lie in (0, 1), got True"),
+    (bootstrap_ci, dict(confidence=1.0), "confidence must lie in (0, 1), got 1.0"),
+    (bootstrap_ci, dict(n_max="x"), "n_max must be None or a finite real number, got 'x'"),
+    (detect_power_law_region, dict(r2_threshold=None), "r2_threshold must lie in [0, 1], got None"),
+    (detect_power_law_region, dict(r2_threshold=True), "r2_threshold must lie in [0, 1], got True"),
+    (detect_power_law_region, dict(r2_threshold=1.5), "r2_threshold must lie in [0, 1], got 1.5"),
+    (detect_power_law_region, dict(r2_threshold=math.nan), "r2_threshold must lie in [0, 1], got nan"),
+    (detect_power_law_region, dict(plateau="x"), "plateau must be None or a finite real number, got 'x'"),
+    (detect_power_law_region, dict(plateau=math.nan), "plateau must be None or a finite real number, got nan"),
+    (fit_loglog, dict(n_min="x"), "n_min must be None or a finite real number, got 'x'"),
+    (fit_loglog, dict(n_min=True), "n_min must be None or a finite real number, got True"),
+    (fit_loglog, dict(n_max=math.inf), "n_max must be None or a finite real number, got inf"),
+    (fit_nonlinear, dict(n_min=1j), "n_min must be None or a finite real number, got 1j"),
+])
+def test_fitting_arguments_go_through_the_rule_homes(call, kwargs, message):
+    """Each argument meets its rule home (``errors.check_integer``, ``errors.is_real``) before use;
+    a value refused before those rules were used keeps its message."""
+    ms = synth_curve(ThreePhaseModel(alpha=-0.5, c=20.0, plateau=0.9), SIZES, 3, 0.05, seed=3, metric="m")
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(ms, **kwargs)
 
 
 GRID = [90, 180, 360, 720, 1440, 2880, 5760, 11520]
@@ -325,6 +363,11 @@ class TestDetectRegion:
     def test_needs_four_distinct_n(self):
         ms = exact_points(-0.5, 2.0, [100, 400, 1600])
         with pytest.raises(InsufficientDataError):
+            detect_power_law_region(ms)
+
+    def test_distinct_counts_are_counted_as_the_fits_see_them(self):
+        ms = exact_points(-0.5, 2.0, [2**63 + k for k in range(1, 5)])  # four ints, one float
+        with pytest.raises(InsufficientDataError, match="^need at least 4 distinct sample counts, found 1$"):
             detect_power_law_region(ms)
 
     def test_segmentation_invariant(self):

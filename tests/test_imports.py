@@ -6,6 +6,7 @@ start without numpy; ``report`` loads no fitting or manifest code; and
 fresh interpreter, since this test process has imported everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -104,3 +105,18 @@ def test_fitting_and_model_re_export_the_curve_types():
         assert getattr(fitting, name) is getattr(curves, name)
     assert learncurve.PowerLawFit is curves.PowerLawFit
     assert model.float_power is curves.float_power
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A ``_``-prefixed name belongs to its module: one that another module needs becomes public."""
+    sources = sorted((SRC / "learncurve").glob("*.py"))
+    assert len(sources) >= 10
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

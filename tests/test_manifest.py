@@ -146,7 +146,8 @@ class TestBuild:
                                       "and class, got ('img_x', ['class1'], None)"),
         (5, "image row 4 must be (image_id, class, capture_group) with a hashable id and class, got 5"),
         (("img_x", None, None), "image row 4: class None does not sort with class 'class0'"),
-    ], ids=["two-fields", "unhashable-id", "unhashable-class", "no-row", "none-class"])
+        ((7, "class0", None), "image row 4: image id 7 does not sort with image id 'img_00_0000'"),
+    ], ids=["two-fields", "unhashable-id", "unhashable-class", "no-row", "none-class", "int-id-among-str-ids"])
     def test_malformed_rows_are_refused_by_index(self, bad, message):
         pool = make_pool(2, 4)
         pool.insert(4, bad)
@@ -248,9 +249,10 @@ class TestInjectNoise:
         with pytest.raises(ParameterError):
             inject_label_noise(self.build(), 1.5, seed=1)
 
-    @pytest.mark.parametrize("p", [None, "0.1", 1j, True, float("nan")])
+    @pytest.mark.parametrize("p", [None, "0.1", 1j, True, float("nan"), np.float64(1.5)])
     def test_probability_must_be_a_real_number(self, p):
-        with pytest.raises(ParameterError, match=r"^noise probability must lie in \[0, 1\], got "):
+        message = f"noise probability must lie in [0, 1], got {p!r}"  # a str shows its quotes
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             inject_label_noise(self.build(), p, seed=1)
 
     @pytest.mark.parametrize("u", [2**64 - 1, 2**63 + 2**10, 2**63 + 2**10 + 1, 2**63 + 3 * 2**10, 2**53 + 1, 2**54 + 2, 1, 0])
@@ -308,7 +310,8 @@ class TestHoldout:
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, None, "0.2", True, 1j, float("nan")])
     def test_fraction_domain(self, fraction):
-        with pytest.raises(ParameterError):
+        message = f"holdout fraction must lie in (0, 1), got {fraction!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             holdout_split(self.build(), 900, fraction=fraction, seed=1)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ class TestMeasurementSet:
     def test_bool_count_or_replicate_rejected(self, point, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             MeasurementSet((Measurement("m", 1, 0, 1.0), point))
+
+    @pytest.mark.parametrize(
+        "rows, index, message",
+        [([("a", 10, 0, 0.5), ("", 20, 0, 0.5)], 1, "metric name must be non-empty"),
+         ([("a", 10, 0, 0.5), (None, 20, 0, 0.5)], 1, "metric name must be non-empty"),
+         ([(["m"], 10, 0, 0.5)], 0, "metric name must be a string, got ['m']"),  # unhashable
+         ([(5, 10, 0, 0.5), ("a", 10, 0, 0.5)], 0, "metric name must be a string, got 5"),
+         ([("a", 10, 0, 0.5), (b"a", 20, -1, 0.5)], 1, "replicate id must be a non-negative int, got -1"),
+         ([("a", 10, 0, 0.5), (b"a", 20, 0, 0.5)], 1, "metric name must be a string, got b'a'")],
+    )
+    def test_metric_must_be_a_non_empty_string(self, rows, index, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            MeasurementSet(rows)
+        assert info.value.index == index
 
     @pytest.mark.parametrize(
         "rows, index",
