@@ -38,7 +38,9 @@ IMAGES_HEADER = "image_id,class,capture_group"
 # Version of the JSON layout written here; files without the key predate it.
 # 2: bootstrap intervals come from one Philox stream, and fits carry
 # draws_failed.  Files of schema 1 still load, with draws_failed None.
-SCHEMA_VERSION = 2
+# 3: fits read the points in (metric, n, replicate) order, whatever order
+# the input lists them in.  The layout is that of schema 2.
+SCHEMA_VERSION = 3
 # A created_at entry as dumps_canonical writes it, at any depth.
 CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
 
@@ -236,16 +238,9 @@ def read_measurements(path: str | Path) -> MeasurementSet:
 
 
 def measurements_to_csv(ms: MeasurementSet) -> str:
-    """The CSV text of ``ms``, its points sorted by (metric, n, replicate)."""
-    import numpy as np
-
-    lines = [MEASUREMENT_HEADER]
-    for metric in ms.metrics():
-        sub = ms.only(metric)
-        order = np.lexsort((sub.replicate, sub.n))
-        n, replicate, value = (column[order].tolist() for column in (sub.n, sub.replicate, sub.value))
-        lines += [f"{metric},{a},{b},{c!r}" for a, b, c in zip(n, replicate, value)]  # floats: as format_float
-    return "\n".join(lines) + "\n"
+    """The CSV text of ``ms``, its points in the set's order: sorted by (metric, n, replicate)."""
+    lines = [f"{metric},{n},{r},{v!r}" for metric, n, r, v in ms.rows()]  # floats: as format_float
+    return "\n".join([MEASUREMENT_HEADER, *lines, ""])
 
 
 def write_measurements(ms: MeasurementSet, path: str | Path) -> None:

@@ -53,15 +53,24 @@ class ParallelCurvesError(ParameterError):
     """Two power laws have numerically equal exponents and never cross."""
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is an integer: anything ``operator.index`` accepts (numpy integers too),
+    but no bool."""
+    if isinstance(x, bool):
+        return False
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
 def check_integer(value, name: str) -> int:
     """``value`` as a Python int; ParameterError naming the field ``name`` unless it is an
-    integer: anything ``operator.index`` accepts (numpy integers too), but no bool.  Callers
-    run it before any sign rule, so a wrong type never meets a comparison."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
+    integer (see :func:`is_integer`).  Callers run it before any sign rule, so a wrong type
+    never meets a comparison."""
+    if is_integer(value):
+        return operator.index(value)
     raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
 
 
@@ -81,3 +90,9 @@ def is_real(x, lo=-math.inf, hi=math.inf) -> bool:
         return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def is_number(x) -> bool:
+    """Whether ``x`` is an integer (see :func:`is_integer`) or a float, nan and inf included:
+    a value that compares with the bounds its own rule then sets."""
+    return is_integer(x) or isinstance(x, float)

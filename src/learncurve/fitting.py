@@ -306,7 +306,7 @@ def detect_power_law_region(
     points must exceed a quarter of the fitted exponent.
     """
     if not is_real(r2_threshold, 0.0, 1.0):
-        raise ParameterError(f"r2_threshold must lie in [0, 1], got {r2_threshold}")
+        raise ParameterError(f"r2_threshold must lie in [0, 1], got {r2_threshold!r}")
     if not (plateau is None or is_real(plateau)):
         raise ParameterError(f"plateau must be None or a finite real number, got {plateau!r}")
     grid = ms.distinct_n()
@@ -371,14 +371,12 @@ def bootstrap_ci(
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     if not (is_real(confidence) and 0.0 < confidence < 1.0):
-        raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
+        raise ParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
     seed = check_seed(seed)
 
     base = (fit_loglog if method == LOGLOG else fit_nonlinear)(ms, n_min, n_max, on_means=on_means)
 
-    sub = window(ms, n_min, n_max)[0]
-    order = np.argsort(sub.replicate, kind="stable")  # a group resamples its values in replicate order
-    ns, counts, values = group_by_n(sub.n[order], sub.value[order])
+    ns, counts, values = window(ms, n_min, n_max)[1]  # a group resamples its values in replicate order
     if (counts < 2).any():
         raise InsufficientDataError(
             f"only one replicate at N={ns[np.argmax(counts < 2)]}: case resampling needs at least 2 "

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .curves import float_power
-from .errors import DataError, InsufficientDataError, NumericError, ParameterError, check_integer, check_seed, is_real
+from .errors import DataError, InsufficientDataError, NumericError, ParameterError
+from .errors import check_integer, check_seed, is_integer, is_number, is_real
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -52,8 +53,11 @@ class ThreePhaseModel:
 
     def __post_init__(self):
         for name in ("alpha", "c", "plateau", "floor"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite")
+            if not is_real(value):
+                raise ParameterError(f"{name} must be a finite real number, got {value!r}")
         if not -1.0 < self.alpha < 0.0:
             raise ParameterError(f"alpha must lie in (-1, 0), got {self.alpha}")
         if not self.c > 0.0:
@@ -65,7 +69,7 @@ class ThreePhaseModel:
 
     def evaluate(self, n: float) -> float:
         """Loss at sample count ``n`` (clamped power law)."""
-        if not n >= 1:
+        if not (is_number(n) and n >= 1):
             raise ParameterError(f"sample count must be >= 1, got {n}")
         return min(max(self.c * float_power(n, self.alpha), self.floor), self.plateau)
 
@@ -76,8 +80,9 @@ def random_guess_plateau(metric: str, n_classes: int) -> float:
     Top-1 error: ``1 - 1/k``.  Cross-entropy: ``ln k``; this is a modeling
     default for balanced classes, not a measured quantity.
     """
-    if n_classes < 2:
+    if isinstance(n_classes, bool) or is_number(n_classes) and n_classes < 2:
         raise ParameterError(f"need at least 2 classes, got {n_classes}")
+    check_integer(n_classes, "n_classes")  # 2.5, nan or inf classes are no class count
     if metric == TOP1_ERROR:
         return 1.0 - 1.0 / n_classes
     if metric == CROSS_ENTROPY:
@@ -138,8 +143,10 @@ _RULES = (
 class MeasurementSet:
     """Tidy, immutable collection of (metric, n, replicate, value) observations, held as
     read-only columns: ``n`` and ``replicate`` (int64, or Python ints once one leaves int64),
-    ``value`` and metric codes; ``points`` is built on first use.  May hold several metrics
-    at once; fitting operations require a single-metric set, obtained with :meth:`only`."""
+    ``value`` and metric codes; ``points`` is built on first use.  The columns hold the points
+    sorted by (metric name, n, replicate), in whatever order they were listed, so no result and
+    no ``==`` depends on that order.  May hold several metrics at once; fitting operations
+    require a single-metric set, obtained with :meth:`only`."""
 
     __slots__ = ("_names", "_codes", "n", "replicate", "value", "_points")
 
@@ -156,12 +163,12 @@ class MeasurementSet:
             raise error from None
         # A metric that is neither a string nor None (which the non-empty rule refuses) is not hashed.
         keys, wrong_metric = _typed(metric, lambda t: t is type(None) or issubclass(t, str), None)
-        names = tuple(dict.fromkeys(keys))
+        names = tuple(sorted(set(keys), key=str))  # key=str: a None, which the rules refuse, still sorts
         codes = np.fromiter(map({m: i for i, m in enumerate(names)}.__getitem__, keys), np.intp, len(keys))
         n, wrong_n = _column(raw_n, {int}.__contains__, np.int64, 1)  # exactly int: a bool is no count or id
         replicate, wrong_replicate = _column(raw_replicate, {int}.__contains__, np.int64, 0)
         value, wrong_value = _column(raw_value, lambda t: issubclass(t, float), float, 0.0)
-        order = np.lexsort((replicate, n, codes))  # stable: a repeated key follows its first point
+        order = np.lexsort((replicate, n, codes))  # the storage order; stable: a repeated key follows its first point
         keys = [column[order] for column in (codes, n, replicate)]
         duplicate = np.zeros(len(order), dtype=bool)
         duplicate[order[1:]] = np.logical_and.reduce([key[1:] == key[:-1] for key in keys])
@@ -181,7 +188,7 @@ class MeasurementSet:
             error = error_class(message.format(metric=m, n=n, replicate=replicate, value=value, key=(m, n, replicate)))
             error.index = index
             raise error
-        self._store(names, codes, n, replicate, value)
+        self._store(names, *keys, value[order])
 
     def _store(self, names, codes, n, replicate, value):
         for column in (codes, n, replicate, value):
@@ -195,13 +202,17 @@ class MeasurementSet:
         part._store(self._names, self._codes[index], self.n[index], self.replicate[index], self.value[index])
         return part
 
+    def rows(self) -> Iterator[tuple[str, int, int, float]]:
+        """Each point as a plain (metric, n, replicate, value) tuple of Python values, in the set's order."""
+        metric = map(self._names.__getitem__, self._codes.tolist())
+        shared, n = {}, self.n.tolist()
+        n = map(shared.setdefault, n, n)  # the points of one N share one int
+        return zip(metric, n, self.replicate.tolist(), self.value.tolist())
+
     @property
     def points(self) -> tuple[Measurement, ...]:
         if self._points is None:
-            metric = map(self._names.__getitem__, self._codes.tolist())
-            shared, n = {}, self.n.tolist()
-            n = map(shared.setdefault, n, n)  # the points of one N share one int
-            self._points = tuple(map(Measurement, metric, n, self.replicate.tolist(), self.value.tolist()))
+            self._points = tuple(map(Measurement._make, self.rows()))
         return self._points
 
     def __eq__(self, other):
@@ -234,11 +245,9 @@ class Groups(NamedTuple):
 
 
 def group_by_n(n: np.ndarray, values: np.ndarray) -> Groups:
-    """``values`` grouped by their sample counts ``n``, in point order within a group."""
-    order = np.argsort(n, kind="stable")
-    n = n[order]
+    """``values`` grouped by their ascending sample counts ``n``, as a window of a set holds them."""
     edges = np.flatnonzero(np.concatenate(([len(n) > 0], n[1:] != n[:-1], [True])))  # group starts, then the end
-    return Groups(n[edges[:-1]].tolist(), edges[1:] - edges[:-1], values[order])
+    return Groups(n[edges[:-1]].tolist(), edges[1:] - edges[:-1], values)
 
 
 def reduce_groups(values: np.ndarray, counts: np.ndarray, reduce) -> np.ndarray:
@@ -262,7 +271,7 @@ def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[MeasurementSet, 
     if len(metrics) != 1:
         raise ParameterError(f"expected a single metric, got {metrics}; use only()")
     for name, bound in (("n_min", n_min), ("n_max", n_max)):
-        if not (bound is None or is_real(bound)):
+        if not (bound is None or is_real(bound) or is_integer(bound)):
             raise ParameterError(f"{name} must be None or a finite real number, got {bound!r}")
     keep = (n_min is None or ms.n >= n_min) & (n_max is None or ms.n <= n_max)
     sub = ms if np.all(keep) else ms._take(keep)
@@ -328,7 +337,7 @@ def synth_curve(
     replicates = check_integer(replicates, "replicates")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if not 0 <= noise_sigma < math.inf:
+    if not (is_number(noise_sigma) and 0 <= noise_sigma < math.inf):
         raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma}")
     seed = check_seed(seed)
 

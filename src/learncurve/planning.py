@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import PowerLawFit, finite, float_power
-from .errors import NumericError, ParallelCurvesError, ParameterError, check_integer
+from .errors import NumericError, ParallelCurvesError, ParameterError, check_integer, is_number
 
 # Tolerance for snapping an analytically integral sample size back onto
 # the integer before taking the ceiling.
@@ -82,7 +82,7 @@ def _require_decreasing(fit: PowerLawFit, label: str = "fitted") -> None:
 
 def _sample_size(fit: PowerLawFit, target_loss: float) -> float:
     """The real N at which the fit reaches ``target_loss``: ``(target / c) ** (1 / alpha)``."""
-    if not target_loss > 0:
+    if not (is_number(target_loss) and target_loss > 0):
         raise ParameterError(f"target loss must be positive, got {target_loss}")
     return float_power(target_loss / fit.c, 1.0 / fit.alpha)
 

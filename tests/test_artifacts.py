@@ -233,6 +233,14 @@ class TestLoader:
         path.write_text(json.dumps(doc))
         assert load_fit_artifact(path).fit() == dataclasses.replace(fit, draws_failed=None)
 
+    def test_schema_2_file_loads_unchanged(self, tmp_path):
+        fit = bootstrap_ci(synth_set(), "loglog", draws=50, seed=1)
+        doc = FitArtifact.from_fit(fit, "top1_error", "0" * 64, {}).to_dict()
+        doc["schema_version"] = 2
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        assert load_fit_artifact(path).fit() == fit
+
     @pytest.mark.parametrize("draws_failed", [-1, "x"])
     def test_bad_draws_failed_is_malformed(self, tmp_path, draws_failed):
         path, _ = self.fit_file(tmp_path, draws_failed=draws_failed)

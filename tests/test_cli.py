@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -79,6 +80,25 @@ class TestPipelines:
         assert pair["input_digest"] == pair["loglog"]["input_digest"] == artifacts.sha256_path(noisy)
         assert pair["params"] == pair["nonlinear"]["params"]
         assert pair["params"]["method"] == "both"
+
+    @pytest.mark.parametrize("on_means", ["true", "false"])
+    def test_fit_does_not_depend_on_the_row_order(self, tmp_path, capsys, on_means):
+        sorted_csv, shuffled_csv = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"
+        assert main(synth_args(sorted_csv, sigma="0.2")) == 0
+        header, *rows = sorted_csv.read_text().splitlines()
+        random.Random(1).shuffle(rows)
+        shuffled_csv.write_text("\n".join([header, *rows, ""]))
+        arts = []
+        for path in (sorted_csv, shuffled_csv):
+            out = tmp_path / f"{path.stem}.json"
+            code, _, _ = run(capsys, "fit", "--input", str(path), "--metric", "top1_error", "--method", "both",
+                             "--on-means", on_means, "--out", str(out))
+            assert code == 0
+            arts.append(art := json.loads(out.read_text()))
+            for doc in (art, art["loglog"], art["nonlinear"]):  # the digest names the file's bytes
+                assert doc.pop("input_digest") == artifacts.sha256_path(path)
+                del doc["created_at"]
+        assert arts[0] == arts[1]
 
     def test_region_command(self, tmp_path, capsys, clean_csv):
         out = tmp_path / "region.json"

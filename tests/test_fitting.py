@@ -281,7 +281,8 @@ def test_no_module_calls_np_unique():
     (bootstrap_ci, dict(draws=0), "draws must be >= 1, got 0"),
     (bootstrap_ci, dict(draws=np.int64(-3)), "draws must be >= 1, got -3"),
     (bootstrap_ci, dict(confidence=None), "confidence must lie in (0, 1), got None"),
-    (bootstrap_ci, dict(confidence="0.9"), "confidence must lie in (0, 1), got 0.9"),
+    (bootstrap_ci, dict(confidence="0.9"), "confidence must lie in (0, 1), got '0.9'"),
+    (bootstrap_ci, dict(confidence=np.float64(1.0)), "confidence must lie in (0, 1), got np.float64(1.0)"),
     (bootstrap_ci, dict(confidence=True), "confidence must lie in (0, 1), got True"),
     (bootstrap_ci, dict(confidence=1.0), "confidence must lie in (0, 1), got 1.0"),
     (bootstrap_ci, dict(n_max="x"), "n_max must be None or a finite real number, got 'x'"),
@@ -289,17 +290,27 @@ def test_no_module_calls_np_unique():
     (detect_power_law_region, dict(r2_threshold=True), "r2_threshold must lie in [0, 1], got True"),
     (detect_power_law_region, dict(r2_threshold=1.5), "r2_threshold must lie in [0, 1], got 1.5"),
     (detect_power_law_region, dict(r2_threshold=math.nan), "r2_threshold must lie in [0, 1], got nan"),
+    (detect_power_law_region, dict(r2_threshold="0.9"), "r2_threshold must lie in [0, 1], got '0.9'"),
+    (detect_power_law_region, dict(r2_threshold=np.float64(1.5)), "r2_threshold must lie in [0, 1], got np.float64(1.5)"),
     (detect_power_law_region, dict(plateau="x"), "plateau must be None or a finite real number, got 'x'"),
     (detect_power_law_region, dict(plateau=math.nan), "plateau must be None or a finite real number, got nan"),
     (fit_loglog, dict(n_min="x"), "n_min must be None or a finite real number, got 'x'"),
     (fit_loglog, dict(n_min=True), "n_min must be None or a finite real number, got True"),
     (fit_loglog, dict(n_max=math.inf), "n_max must be None or a finite real number, got inf"),
     (fit_nonlinear, dict(n_min=1j), "n_min must be None or a finite real number, got 1j"),
+    (fit_nonlinear, dict(n_max=np.float64(math.nan)), "n_max must be None or a finite real number, got np.float64(nan)"),
+    (fit_loglog, dict(n_min=np.int64(SIZES[1])), None),
+    (fit_nonlinear, dict(n_max=np.uint16(SIZES[-2])), None),
+    (bootstrap_ci, dict(n_min=np.int16(SIZES[1]), n_max=2**2000), None),
 ])
 def test_fitting_arguments_go_through_the_rule_homes(call, kwargs, message):
     """Each argument meets its rule home (``errors.check_integer``, ``errors.is_real``) before use;
-    a value refused before those rules were used keeps its message."""
+    a value refused before those rules were used keeps its message.  A window bound may be any
+    integer that ``check_integer`` takes (``message`` None): it selects as the same Python int."""
     ms = synth_curve(ThreePhaseModel(alpha=-0.5, c=20.0, plateau=0.9), SIZES, 3, 0.05, seed=3, metric="m")
+    if message is None:
+        assert call(ms, **kwargs) == call(ms, **{name: int(bound) for name, bound in kwargs.items()})
+        return
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         call(ms, **kwargs)
 

@@ -21,6 +21,7 @@ from learncurve import (
     random_guess_plateau,
     synth_curve,
 )
+from learncurve.artifacts import measurements_to_csv
 from learncurve.model import group_by_n, group_means, reduce_groups, window
 
 
@@ -204,12 +205,21 @@ class TestMeasurementSet:
         assert single.only("a") is single
         assert mixed.only("c").points == ()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_listing_order_changes_nothing(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = [(m, n, r, float(rng.lognormal())) for m in ("b", "a") for n in (7, 2**64, 90) for r in (3, 0, 1)]
+        canonical = sorted(rows)
+        shuffled = MeasurementSet([rows[i] for i in rng.permutation(len(rows))])
+        assert shuffled == MeasurementSet(canonical) and shuffled.points == tuple(canonical)
+        assert measurements_to_csv(shuffled) == measurements_to_csv(MeasurementSet(canonical))
+
     @pytest.mark.parametrize("sizes", [[1000, 5000, 300], [1000, 2**70, 300]])
     def test_points_of_one_n_share_one_int(self, sizes):
         rows = [("a", int(str(n)), r, 0.5) for r in range(4) for n in sizes] + [("b", 1000, 0, 0.5)]
         ms = MeasurementSet(rows)
         assert len({id(p.n) for p in ms.points}) == len(sizes)
-        assert [p.n for p in ms.points] == [row[1] for row in rows]
+        assert [p.n for p in ms.points] == [row[1] for row in sorted(rows)]  # (metric, n, replicate) order
 
 
 class TestGroupByN:
@@ -217,7 +227,7 @@ class TestGroupByN:
         ms = MeasurementSet([("m", 900, 1, 0.2), ("m", 90, 3, 0.8), ("m", 900, 0, 0.3), ("m", 90, 1, 0.7)])
         groups = group_by_n(ms.n, ms.value)
         assert groups.n == [90, 900] and all(type(n) is int for n in groups.n)
-        assert split(groups) == [(90, [0.8, 0.7]), (900, [0.2, 0.3])]
+        assert split(groups) == [(90, [0.7, 0.8]), (900, [0.3, 0.2])]  # replicate order within a group
 
 
 class TestReduceGroups:
@@ -237,9 +247,9 @@ class TestReduceGroups:
         counts, values = self.draw(rng)
         drawn = iter(values.tolist())
         rows = [("m", n, r, next(drawn)) for n, k in enumerate(counts.tolist(), start=1) for r in range(k)]
-        rows = [rows[i] for i in rng.permutation(len(rows))]  # a group's values lie apart, in point order
+        rows = [rows[i] for i in rng.permutation(len(rows))]  # a group's values lie apart in the listing
         by_n = {}
-        for _, n, _, v in rows:
+        for _, n, _, v in sorted(rows, key=lambda row: row[1:3]):  # the set holds them in replicate order
             by_n.setdefault(n, []).append(v)
         groups = [np.asarray(by_n[n]) for n in sorted(by_n)]
         ms = MeasurementSet(rows)
@@ -298,8 +308,8 @@ class TestWindow:
 
     def test_points_in_range_keep_the_set_order(self):
         sub, groups = window(self.MS, 300, 900)
-        assert sub.points == (self.MS.points[0], self.MS.points[2], self.MS.points[3])
-        assert split(groups) == [(300, [0.4]), (900, [0.2, 0.3])]
+        assert sub.points == (("m", 300, 0, 0.4), ("m", 900, 0, 0.3), ("m", 900, 1, 0.2)) == self.MS.points[2:]
+        assert split(groups) == [(300, [0.4]), (900, [0.3, 0.2])]
 
     def test_open_bounds_take_every_point(self):
         sub, groups = window(self.MS)

@@ -2,19 +2,22 @@
 
 Each of 400 seeded measurement sets mixes replicate counts per N, drops
 points, may carry a second metric and sample counts above 2**63, and lists
-its points in shuffled order.  For every set the test takes the CSV bytes
-and, per metric, ``aggregate``, ``group_means``, region detection (start,
-end and every diagnostic), both fits and both bootstrap methods on and off
-the per-N means, each as ``float.hex`` or as its error (the costly
-nonlinear route runs one of its four windows per set).  The sha256 of all
-of it must equal ``DIGEST``.  A change that moves a number on purpose bumps
-the artifact schema and records the new digest here, in the open.
+its points in shuffled order; the set holds them in (metric, n, replicate)
+order, so listing them in that order gives the same lines.  For every set
+the test takes the CSV bytes and, per metric, ``aggregate``,
+``group_means``, region detection (start, end and every diagnostic), both
+fits and both bootstrap methods on and off the per-N means, each as
+``float.hex`` or as its error (the costly nonlinear route runs one of its
+four windows per set).  The sha256 of all of it must equal ``DIGEST``.
+A change that moves a number on purpose bumps the artifact schema and
+records the new digest here, in the open.
 """
 
 import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from learncurve import (
     MeasurementSet,
@@ -29,7 +32,7 @@ from learncurve.artifacts import measurements_to_csv
 from learncurve.model import group_means, window
 
 SETS = 400
-DIGEST = "695572b56743a80ab885ce8f9f251bb30e34f7e49dfabee2c4a2e5332e61453c"
+DIGEST = "0c2b0df87d0dc57c242e6acc98be0d108f85d935ad8194dd5fa918fe169cf5b9"
 
 
 def _hex(x) -> str:
@@ -81,19 +84,20 @@ def _rows(rng, metric: str, grid: list[int]) -> list[tuple]:
     return rows
 
 
-def _set(seed: int) -> MeasurementSet:
+def _set(seed: int, canonical: bool = False) -> MeasurementSet:
+    """The set of ``seed``, its points listed shuffled, or in (metric, n, replicate) order."""
     rng = np.random.default_rng([20261019, seed])
     grid = _grid(rng)
     rows = _rows(rng, "a", grid)
     if rng.random() < 0.3:
         rows += _rows(rng, "b", grid if rng.random() < 0.5 else _grid(rng))
-    order = rng.permutation(len(rows)).tolist()
-    return MeasurementSet([rows[i] for i in order])
+    rows = [rows[i] for i in rng.permutation(len(rows)).tolist()]
+    return MeasurementSet(sorted(rows, key=lambda row: row[:3]) if canonical else rows)
 
 
-def outcomes(seed: int):
+def outcomes(seed: int, canonical: bool = False):
     """The lines one set contributes to the digest."""
-    ms = _set(seed)
+    ms = _set(seed, canonical)
     yield hashlib.sha256(measurements_to_csv(ms).encode()).hexdigest()
     for metric in ms.metrics():
         sub = ms.only(metric)
@@ -112,6 +116,7 @@ def outcomes(seed: int):
         yield _outcome(fit_nonlinear, sub, lo, on_means=on_means)
         yield _outcome(bootstrap_ci, sub, "nonlinear", lo, draws=6, seed=seed, on_means=on_means)
 
+
 def digest() -> str:
     h = hashlib.sha256()
     for seed in range(SETS):
@@ -123,3 +128,8 @@ def digest() -> str:
 
 def test_every_recorded_number_is_unchanged():
     assert digest() == DIGEST
+
+
+@pytest.mark.parametrize("seed", range(0, SETS, SETS // 50))
+def test_listing_order_changes_no_number(seed):
+    assert list(outcomes(seed)) == list(outcomes(seed, canonical=True))

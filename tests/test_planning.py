@@ -15,7 +15,9 @@ from learncurve import (
     extrapolate,
     fit_loglog,
     noise_impact,
+    TOP1_ERROR,
     predict_intersection,
+    random_guess_plateau,
     required_sample_size,
     synth_curve,
 )
@@ -217,3 +219,48 @@ class TestNoiseImpact:
     def test_non_positive_target_rejected(self):
         with pytest.raises(ParameterError):
             noise_impact(make_fit(-0.62, 1.0), make_fit(-0.5, 1.0), [0.0])
+
+
+MODEL = ThreePhaseModel(alpha=-0.5, c=1.0, plateau=2.0, floor=0.1)
+FIT = make_fit(-0.5, 1.0)
+
+
+def _model(**fields):
+    return ThreePhaseModel(**{"alpha": -0.5, "c": 1.0, "plateau": 2.0, **fields})
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: _model(alpha="x"), "alpha must be a finite real number, got 'x'"),
+    (lambda: _model(c=None), "c must be a finite real number, got None"),
+    (lambda: _model(plateau=-(2**2000)), f"plateau must be a finite real number, got {-(2**2000)}"),
+    (lambda: _model(floor=math.nan), "floor must be finite"),
+    (lambda: _model(alpha=0.5), "alpha must lie in (-1, 0), got 0.5"),
+    (lambda: MODEL.evaluate(None), "sample count must be >= 1, got None"),
+    (lambda: MODEL.evaluate(math.nan), "sample count must be >= 1, got nan"),
+    (lambda: MODEL.evaluate(np.int64(4)), 0.5),
+    (lambda: MODEL.evaluate(math.inf), 0.1),
+    (lambda: synth_curve(MODEL, [10], 2, None, seed=1), "noise_sigma must be a finite float >= 0, got None"),
+    (lambda: synth_curve(MODEL, [10], 2, "0.1", seed=1), "noise_sigma must be a finite float >= 0, got 0.1"),
+    (lambda: synth_curve(MODEL, [10], 2, math.inf, seed=1), "noise_sigma must be a finite float >= 0, got inf"),
+    (lambda: synth_curve(MODEL, [16], 2, np.int64(0), seed=1).value.tolist(), [0.25, 0.25]),
+    (lambda: random_guess_plateau(TOP1_ERROR, None), "n_classes must be a non-negative integer, got None"),
+    (lambda: random_guess_plateau(TOP1_ERROR, 2.5), "n_classes must be a non-negative integer, got 2.5"),
+    (lambda: random_guess_plateau(TOP1_ERROR, 1.5), "need at least 2 classes, got 1.5"),
+    (lambda: random_guess_plateau(TOP1_ERROR, True), "need at least 2 classes, got True"),
+    (lambda: random_guess_plateau(TOP1_ERROR, np.int64(4)), 0.75),
+    (lambda: required_sample_size(FIT, None), "target loss must be positive, got None"),
+    (lambda: required_sample_size(FIT, "0.1"), "target loss must be positive, got 0.1"),
+    (lambda: required_sample_size(FIT, 0), "target loss must be positive, got 0"),
+    (lambda: required_sample_size(FIT, math.inf), 1),
+    (lambda: required_sample_size(FIT, np.int64(1)), 1),
+    (lambda: noise_impact(FIT, FIT, ["x"]), "target loss must be positive, got x"),
+], ids=lambda v: str(v)[:48] if not callable(v) else "")
+def test_scalar_arguments_go_through_the_rule_homes(call, expected):
+    """A scalar argument of the model and planning functions meets its rule home (``errors.is_real``,
+    ``errors.is_number``, ``errors.check_integer``) before use: a refused value (``expected`` a
+    message) raises ParameterError, and an accepted number keeps its answer."""
+    if not isinstance(expected, str):
+        assert call() == expected
+        return
+    with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+        call()
