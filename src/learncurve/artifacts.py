@@ -40,7 +40,9 @@ IMAGES_HEADER = "image_id,class,capture_group"
 # draws_failed.  Files of schema 1 still load, with draws_failed None.
 # 3: fits read the points in (metric, n, replicate) order, whatever order
 # the input lists them in.  The layout is that of schema 2.
-SCHEMA_VERSION = 3
+# 4: off-means fits are count-weighted fits of per-N points (their rss
+# still covers every value).  The layout is that of schema 2.
+SCHEMA_VERSION = 4
 # A created_at entry as dumps_canonical writes it, at any depth.
 CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
 

@@ -7,6 +7,16 @@ Two estimation routes for ``L(N) = c * N**alpha``:
 * :func:`fit_nonlinear` -- damped Gauss-Newton on the original scale,
   minimizing ``sum (L_i - c * N_i**alpha)**2``.
 
+Every fit sees one point per distinct N.  On the per-N means each point
+has weight 1.  Off them, every replicate counts, but the replicates of one
+N share it, so ``sum_i (y_i - f(N_i))**2 = sum_g R_g * (mean_g - f(N_g))**2
++ SS_pure``, where ``R_g`` is the group's count and ``SS_pure``, the sum of
+squares within the groups, does not depend on the fit (the lack-of-fit /
+pure-error split of Draper & Smith, *Applied Regression Analysis*, 3rd ed.,
+§2.1).  So an off-means fit is a count-weighted fit of the per-N means (of
+the per-N means of the logs for a log-log fit); its rss adds ``SS_pure``
+back, and its r-squared still covers every value.
+
 The two weight residuals differently and therefore disagree on noisy
 data; :func:`fit_discrepancy` quantifies by how much.
 :func:`detect_power_law_region` locates the grid point where power-law
@@ -34,13 +44,14 @@ from .errors import (
     check_seed,
     is_real,
 )
-from .model import Groups, MeasurementSet, group_by_n, group_means, reduce_groups, require_finite, window
+from .model import Groups, MeasurementSet, group_by_n, reduce_groups, require_finite, window
 
 GN_MAX_ITER = 200
 GN_REL_TOL = 1e-10
 GN_MAX_HALVINGS = 30
 
-# bootstrap_ci draws its resamples in blocks, and refits them in batches, of about this many values.
+# bootstrap_ci draws its resamples in blocks, and refits them in batches, of about this many values
+# (resampled values per block, per-N points per batch).
 BLOCK_VALUES = 8192
 
 
@@ -62,22 +73,40 @@ def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
     return sub, groups
 
 
-def _xy(n: np.ndarray, values: np.ndarray, groups: Groups, on_means: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The points a fit sees: one per group of ``groups``, or every (n, value) in point order."""
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing mean raises NumericError; SS_pure ends as inf
+def _xy(groups: Groups, on_means: bool, log: bool = False, what: str = "a per-N mean"):
+    """The per-N points a fit sees, as ``(x, y, weights, ss_pure, values)``: x the sample counts,
+    one y per group of ``groups`` (``groups.values`` may hold one set of values per row, then
+    y and ``ss_pure`` hold one entry per row), and ``values`` what r-squared's total sum of
+    squares covers.  ``what`` names the mean in an overflow's message.
+
+    On means y is each group's mean (its log with ``log``), each point of weight 1, ``ss_pure`` 0,
+    and the values are y.  Off means y is the mean of each group's values (of their logs with
+    ``log``), weighted by the group's count; ``ss_pure`` is their sum of squares about it, and the
+    values are every value (every log).
+    """
+    values = np.log(groups.values) if log and not on_means else groups.values
+    y = require_finite(reduce_groups(values, groups.counts, np.mean), what)
+    x = np.asarray(groups.n, dtype=float)
     if on_means:
-        return np.asarray(groups.n, dtype=float), group_means(groups)
-    return n.astype(float), values
+        y = np.log(y) if log else y
+        return x, y, 1.0, np.zeros(y.shape[:-1]), y
+    within = values - np.repeat(y, groups.counts, axis=-1)
+    return x, y, groups.counts.astype(float), (within * within).sum(axis=-1), values
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # sample counts equal in log space give a nan slope
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares lines y = intercept + slope*x along the last axis of ``y``.
+def _ols(x: np.ndarray, y: np.ndarray, weights=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least-squares lines y = intercept + slope*x along the last axis of ``y``, every
+    line with the per-point ``weights`` (a scalar weighs every point alike).
 
     Returns slope and intercept, one entry per line (0-d for one line).
     """
-    xm, ym = x.mean(axis=-1, keepdims=True), y.mean(axis=-1, keepdims=True)
+    total = np.broadcast_to(weights, x.shape).sum(axis=-1, keepdims=True)
+    xm, ym = (weights * x).sum(axis=-1, keepdims=True) / total, (weights * y).sum(axis=-1, keepdims=True) / total
     xc = x - xm
-    slope = (xc * (y - ym)).sum(axis=-1) / (xc * xc).sum(axis=-1)
+    wxc = weights * xc
+    slope = (wxc * (y - ym)).sum(axis=-1) / (wxc * xc).sum(axis=-1)
     return slope, ym[..., 0] - slope * xm[..., 0]
 
 
@@ -108,12 +137,14 @@ def _require_positive(ms: MeasurementSet) -> None:
         )
 
 
-def _loglog_line(log_n: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float, float | None]:
-    """Slope, intercept, rss and r-squared of the least-squares line through (log_n, log_y)."""
-    alpha, log_c = map(float, _ols(log_n, log_y))
+def _loglog_line(log_n, log_y, weights=1.0, ss_pure=0.0, values=None) -> tuple[float, float, float, float | None]:
+    """Slope, intercept, rss and r-squared of the weighted least-squares line through (log_n, log_y),
+    the points of :func:`_xy` (``values`` None: they are ``log_y``)."""
+    alpha, log_c = map(float, _ols(log_n, log_y, weights))
     resid = log_y - (log_c + alpha * log_n)
-    rss = float(resid @ resid)
-    return alpha, log_c, rss, _r_squared(rss, float(((log_y - log_y.mean()) ** 2).sum()))
+    rss = float((weights * resid) @ resid + ss_pure)
+    values = log_y if values is None else values
+    return alpha, log_c, rss, _r_squared(rss, float(((values - values.mean()) ** 2).sum()))
 
 
 def fit_loglog(
@@ -125,14 +156,15 @@ def fit_loglog(
 ) -> PowerLawFit:
     """Least-squares line in log-log space.
 
-    With ``on_means`` (the default, matching plotted mean curves) one
-    point per distinct N enters the regression; otherwise every replicate
-    is its own point.  All values in the window must be strictly positive.
+    With ``on_means`` (the default, matching plotted mean curves) the log
+    of each per-N mean is one point; otherwise every replicate counts, as
+    the per-N mean of the logs weighted by the replicate count.  All values
+    in the window must be strictly positive.
     """
     sub, groups = _select(ms, n_min, n_max)
     _require_positive(sub)
-    n_arr, y_arr = _xy(sub.n, sub.value, groups, on_means)
-    alpha, log_c, rss, r_squared = _loglog_line(np.log(n_arr), np.log(y_arr))
+    x, log_y, weights, ss_pure, values = _xy(groups, on_means, log=True)
+    alpha, log_c, rss, r_squared = _loglog_line(np.log(x), log_y, weights, ss_pure, values)
     return PowerLawFit(
         alpha=alpha,
         c=_exp_c(log_c),
@@ -162,11 +194,13 @@ def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @np.errstate(over="ignore", invalid="ignore")  # a row that leaves the float range ends as inf or nan
 def _gauss_newton(
-    n: np.ndarray, y: np.ndarray, c0: float, a0: float
+    n: np.ndarray, y: np.ndarray, c0: float, a0: float, weights=1.0, ss_pure=0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton for min sum (y - c*n**a)**2, one problem per row of ``y``.
+    """Damped Gauss-Newton for min sum weights*(y - c*n**a)**2, one problem per row of ``y``.
 
-    Every row shares the sample counts ``n`` and the start (c0, a0).  Full
+    Every row shares the sample counts ``n``, the per-point ``weights`` and the start (c0, a0);
+    ``ss_pure`` (a scalar or one per row) is added to each row's weighted sum, so the rss, its
+    relative decrease and the returned rss are those of every value behind the points.  Full
     step first, then step halving (factor 0.5, at most ``GN_MAX_HALVINGS``
     halvings) until the residual sum of squares decreases; candidates with
     c <= 0 are rejected the same way.  If no improving step exists the
@@ -178,18 +212,20 @@ def _gauss_newton(
     of that row alone.  Returns arrays (c, alpha, rss, iterations, converged), one per row.
     """
     ln_n = np.log(n)
+    w_col = np.asarray(weights)[..., None]  # the weights down a Jacobian's rows
+    pure = np.full(len(y), ss_pure, dtype=float)
     c = np.full(len(y), c0, dtype=float)
     a = np.full(len(y), a0, dtype=float)
-    rss = ((y - c[:, None] * n ** a[:, None]) ** 2).sum(axis=1)
+    rss = (weights * (y - c[:, None] * n ** a[:, None]) ** 2).sum(axis=1) + pure
     iterations = np.full(len(y), GN_MAX_ITER)
     converged = np.zeros(len(y), dtype=bool)
-    live, y_l = np.arange(len(y)), y
+    live, y_l, pure_l = np.arange(len(y)), y, pure
     for iteration in range(1, GN_MAX_ITER + 1):
         c_l, a_l, rss_l = c[live], a[live], rss[live]
         pow_na = n ** a_l[:, None]
         f = c_l[:, None] * pow_na
         jac = np.stack((pow_na, f * ln_n), axis=-1)  # d/dc, d/dalpha
-        jac_t = jac.transpose(0, 2, 1)
+        jac_t = (jac * w_col).transpose(0, 2, 1)
         delta, solved = _solve_rows(jac_t @ jac, jac_t @ (y_l - f)[:, :, None])
 
         new_c, new_a, new_rss = c_l, a_l, rss_l
@@ -200,7 +236,7 @@ def _gauss_newton(
             aa = a_l + step * delta[:, 1]
             trial = search & (cc > 0.0)
             rr = np.full(len(live), np.inf)
-            rr[trial] = ((y_l[trial] - cc[trial, None] * n ** aa[trial, None]) ** 2).sum(axis=1)
+            rr[trial] = (weights * (y_l[trial] - cc[trial, None] * n ** aa[trial, None]) ** 2).sum(axis=1) + pure_l[trial]
             better = rr < rss_l
             new_c, new_a = np.where(better, cc, new_c), np.where(better, aa, new_a)
             new_rss = np.where(better, rr, new_rss)
@@ -215,7 +251,7 @@ def _gauss_newton(
         c[live], a[live], rss[live] = new_c, new_a, new_rss
         if stop.any():
             converged[live[stop]], iterations[live[stop]] = solved[stop], iteration
-            live, y_l = live[~stop], y_l[~stop]
+            live, y_l, pure_l = live[~stop], y_l[~stop], pure_l[~stop]
         if len(live) == 0:
             break
     return c, a, rss, iterations, converged
@@ -233,11 +269,13 @@ def fit_nonlinear(
 
     Starts from ``init`` when given, else from a log-log fit of the same
     window (restricted to strictly positive values, since zeros are legal
-    here but have no logarithm).  Raises :class:`NonConvergenceError`
-    carrying the last iterate if 200 iterations do not converge.
+    here but have no logarithm).  Off the means it fits the per-N means
+    weighted by their replicate counts, and its rss covers every value.
+    Raises :class:`NonConvergenceError` carrying the last iterate if 200
+    iterations do not converge.
     """
     sub, groups = _select(ms, n_min, n_max)
-    n_arr, y_arr = _xy(sub.n, sub.value, groups, on_means)
+    x, y, weights, ss_pure, values = _xy(groups, on_means)
 
     if init is not None:
         c0, a0 = init.c, init.alpha
@@ -249,14 +287,15 @@ def fit_nonlinear(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
             )
-        a0, log_c0 = map(float, _ols(*map(np.log, _xy(sub.n[pos], sub.value[pos], pos_groups, on_means))))
+        pos_x, log_y, pos_weights, _, _ = _xy(pos_groups, on_means, log=True)
+        a0, log_c0 = map(float, _ols(np.log(pos_x), log_y, pos_weights))
         c0 = _exp_c(log_c0)
 
     c, a, rss, iterations, converged = (
-        v[0].item() for v in _gauss_newton(n_arr, y_arr[None, :], c0, a0)
+        v[0].item() for v in _gauss_newton(x, y[None, :], c0, a0, weights, ss_pure)
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        ss_tot = float(((y_arr - y_arr.mean()) ** 2).sum())
+        ss_tot = float(((values - values.mean()) ** 2).sum())
     require_finite([c, a, rss, ss_tot], f"the nonlinear fit (c={c!r}, alpha={a!r}, rss={rss!r})")
     fit = PowerLawFit(
         alpha=a,
@@ -314,8 +353,8 @@ def detect_power_law_region(
         raise InsufficientDataError(f"need at least 4 distinct sample counts, found {_distinct(grid)}")
     sub, groups = window(ms)
     _require_positive(sub)
-    n_arr, means = _xy(sub.n, sub.value, groups, True)
-    log_n, log_mean = np.log(n_arr), np.log(means)
+    x, means, *_ = _xy(groups, True)
+    log_n, log_mean = np.log(x), np.log(means)
 
     diagnostics: dict[int, float | None] = {}
     start = None
@@ -357,11 +396,12 @@ def bootstrap_ci(
     stream keyed by ``SeedSequence(seed)``; draw ``i`` takes the counter
     blocks ``[i*w/4, (i+1)*w/4)``, where ``w = 4*ceil(P/4)`` for ``P``
     resampled values, so it depends only on ``(seed, i, P)``, not on the
-    block size or on ``draws``.  ``BLOCK_VALUES`` bounds the memory twice:
-    a resample block holds about that many resampled values, and a refit
-    batch, a whole number of resample blocks, about that many fitted values
-    (one per N on means, one per value otherwise).  Every draw's refit is
-    the same whatever its batch.  Returns the fit on the original data with
+    block size or on ``draws``.  Each resample is reduced to the per-N
+    points of :func:`_xy` at once, on means or off them.  ``BLOCK_VALUES``
+    bounds the memory twice: a resample block holds about that many
+    resampled values, and a refit batch, a whole number of resample blocks,
+    about that many per-N points.  Every draw's refit is the same whatever
+    its batch.  Returns the fit on the original data with
     ``ci_alpha`` attached and ``draws_failed`` set to the number of draws
     whose refit did not converge and was left out (0 for ``loglog``).
     """
@@ -382,12 +422,11 @@ def bootstrap_ci(
             f"only one replicate at N={ns[np.argmax(counts < 2)]}: case resampling needs at least 2 "
             "(residual bootstrap is not supported)"
         )
-    ns = np.asarray(ns, dtype=float)
+    x = np.asarray(ns, dtype=float)
+    log_x = np.log(x)
     # Uniform j of a draw picks one of the values in the group of value j.
     group_start = np.repeat(np.cumsum(counts) - counts, counts)
     group_size = np.repeat(counts, counts)
-    x = ns if on_means else np.repeat(ns, counts)
-    log_x = np.log(x)
 
     # A row of w = 4*ceil(P/4) uniforms is a whole number of Philox counter blocks.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -397,20 +436,18 @@ def bootstrap_ci(
     rows = max(1, BLOCK_VALUES // len(values))  # draws per resample block
     batch = rows * max(1, BLOCK_VALUES // (rows * len(x)))  # draws per refit: whole resample blocks
     for first in range(0, draws, batch):
-        ys = []
+        ys, pure = [], []
         for start in range(first, min(first + batch, draws), rows):
             block = rng.random((min(rows, draws - start), width))[:, : len(values)]
-            y = values[group_start + (block * group_size).astype(np.intp)]
-            if on_means:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y = reduce_groups(y, counts, np.mean)
-                require_finite(y, "a resampled per-N mean")
+            resample = Groups(x, counts, values[group_start + (block * group_size).astype(np.intp)])
+            _, y, weights, ss_pure, _ = _xy(resample, on_means, method == LOGLOG, "a resampled per-N mean")
             ys.append(y)
+            pure.append(ss_pure)
         y = np.concatenate(ys)
         if method == LOGLOG:
-            alphas.append(_ols(log_x, np.log(y))[0])
+            alphas.append(_ols(log_x, y, weights)[0])
         else:
-            _, a, _, _, converged = _gauss_newton(x, y, base.c, base.alpha)
+            _, a, _, _, converged = _gauss_newton(x, y, base.c, base.alpha, weights, np.concatenate(pure))
             alphas.append(a[converged])
             failures += int((~converged).sum())
     if failures > draws // 2:

@@ -233,10 +233,11 @@ class TestLoader:
         path.write_text(json.dumps(doc))
         assert load_fit_artifact(path).fit() == dataclasses.replace(fit, draws_failed=None)
 
-    def test_schema_2_file_loads_unchanged(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_schema_2_and_3_files_load_unchanged(self, tmp_path, version):
         fit = bootstrap_ci(synth_set(), "loglog", draws=50, seed=1)
         doc = FitArtifact.from_fit(fit, "top1_error", "0" * 64, {}).to_dict()
-        doc["schema_version"] = 2
+        doc["schema_version"] = version
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(doc))
         assert load_fit_artifact(path).fit() == fit

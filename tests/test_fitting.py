@@ -33,6 +33,7 @@ from learncurve import (
     synth_curve,
 )
 from learncurve import fitting
+from learncurve.model import window
 
 SIZES = [900, 1800, 3600, 9000, 22500, 45000, 90000]
 
@@ -491,8 +492,8 @@ class TestBootstrap:
         """Make the first ``k`` bootstrap refits fail; one-row solves (the base fit) stay as they are."""
         solve = fitting._gauss_newton
 
-        def failing(n, y, c0, a0):
-            c, a, rss, iterations, converged = solve(n, y, c0, a0)
+        def failing(n, y, *args):
+            c, a, rss, iterations, converged = solve(n, y, *args)
             if len(y) > 1:
                 converged[:k] = False
             return c, a, rss, iterations, converged
@@ -523,21 +524,25 @@ class TestBootstrap:
 # ---------------------------------------------------------------------------
 
 
-def reference_gauss_newton(n, y, c0, a0):
+def reference_gauss_newton(n, y, c0, a0, weights=1.0, ss_pure=0.0):
     """Gauss-Newton on one problem, as fit_nonlinear and every bootstrap draw
     ran it before refits were batched; the batched solver must match it bit
-    for bit."""
+    for bit.  With the default unit weights on every value of a set, it is
+    the per-value fit that off-means fits ran before they were weighted;
+    with the per-N points of :func:`weighted_points` it is the weighted fit
+    they run now."""
     ln_n = np.log(n)
     c, a = float(c0), float(a0)
     f = c * n**a
-    rss = float(((y - f) ** 2).sum())
+    rss = float((weights * (y - f) ** 2).sum()) + ss_pure
     for iteration in range(1, fitting.GN_MAX_ITER + 1):
         pow_na = n**a
         f = c * pow_na
         r = y - f
         jac = np.column_stack((pow_na, f * ln_n))
+        jac_w = jac * np.reshape(weights, (-1, 1))
         try:
-            delta = np.linalg.solve(jac.T @ jac, jac.T @ r)
+            delta = np.linalg.solve(jac_w.T @ jac, jac_w.T @ r)
         except np.linalg.LinAlgError:
             return c, a, rss, iteration, False
         step = 1.0
@@ -546,7 +551,7 @@ def reference_gauss_newton(n, y, c0, a0):
             cc = float(c + step * delta[0])
             aa = float(a + step * delta[1])
             if cc > 0.0:
-                rr = float(((y - cc * n**aa) ** 2).sum())
+                rr = float((weights * (y - cc * n**aa) ** 2).sum()) + ss_pure
                 if rr < rss:
                     cand = (cc, aa, rr)
                     break
@@ -560,9 +565,20 @@ def reference_gauss_newton(n, y, c0, a0):
     return c, a, rss, fitting.GN_MAX_ITER, False
 
 
+def weighted_points(groups):
+    """The per-N points of a list of value groups as an off-means fit sees them, one group at
+    a time: the groups' means, their counts as weights, and SS_pure, the squares of every value
+    about its group's mean, summed in one pass in point order."""
+    means = np.asarray([g.mean() for g in groups])
+    counts = np.asarray([g.size for g in groups])
+    within = np.concatenate(groups) - np.repeat(means, counts)
+    return means, counts.astype(float), float((within * within).sum())
+
+
 def reference_ci_alpha(ms, method, draws, confidence, seed, on_means):
     """bootstrap_ci's interval from one refit per draw: draw i takes its uniforms
-    from a fresh Philox stream advanced straight to its counter blocks."""
+    from a fresh Philox stream advanced straight to its counter blocks.  Off means
+    a draw refits its weighted per-N points (of the logs for loglog)."""
     base = (fit_loglog if method == "loglog" else fit_nonlinear)(ms, on_means=on_means)
     groups = {}
     for p in sorted(ms, key=lambda p: (p.n, p.replicate)):
@@ -582,10 +598,22 @@ def reference_ci_alpha(ms, method, draws, confidence, seed, on_means):
             vals[(u[offsets[g] : offsets[g + 1]] * vals.size).astype(np.intp)]
             for g, vals in enumerate(values)
         ]
-        if on_means:
-            x, y = ns, np.asarray([grp.mean() for grp in resampled])
-        else:
-            x, y = np.repeat(ns, counts), np.concatenate(resampled)
+        if not on_means:
+            if method == "loglog":
+                y, w, _ = weighted_points([np.log(grp) for grp in resampled])
+                lx = np.log(ns)
+                xm, ym = (w * lx).sum() / w.sum(), (w * y).sum() / w.sum()
+                xc = lx - xm
+                alphas.append(float((w * xc * (y - ym)).sum() / (w * xc * xc).sum()))
+                continue
+            y, w, ss_pure = weighted_points(resampled)
+            _, a, _, _, converged = reference_gauss_newton(ns, y, base.c, base.alpha, w, ss_pure)
+            if converged:
+                alphas.append(a)
+            else:
+                failures += 1
+            continue
+        x, y = ns, np.asarray([grp.mean() for grp in resampled])
         if method == "loglog":
             lx, ly = np.log(x), np.log(y)
             xc = lx - lx.mean()
@@ -700,9 +728,9 @@ class TestBatchedBootstrap:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(ms=curves(), c0=st.floats(0.01, 100.0), a0=st.floats(-3.0, 1.0))
     def test_fit_nonlinear_takes_the_same_steps(self, ms, c0, a0):
-        n = np.asarray([p.n for p in ms], dtype=float)
-        y = np.asarray([p.value for p in ms])
-        c, a, rss, iterations, converged = reference_gauss_newton(n, y, c0, a0)
+        ns = ms.distinct_n()
+        y, w, ss_pure = weighted_points([np.asarray([p.value for p in ms if p.n == n]) for n in ns])
+        c, a, rss, iterations, converged = reference_gauss_newton(np.asarray(ns, dtype=float), y, c0, a0, w, ss_pure)
         try:
             fit = fit_nonlinear(ms, on_means=False, init=make_fit(a0, c0))
         except NonConvergenceError as exc:
@@ -730,6 +758,78 @@ class TestBatchedBootstrap:
         assert np.isnan(delta[1]).all()
         for k in (0, 2):
             assert delta[k].tolist() == np.linalg.solve(lhs[k], rhs[k, :, 0]).tolist()
+
+
+def per_value_fit(ms, n_min, method):
+    """fit_loglog or fit_nonlinear off the means as they ran before their points were weighted:
+    every value of the window is a point of its own, and the Gauss-Newton start is the log-log
+    line through every positive value.  Returns (c, alpha, rss, iterations, converged)."""
+    part = window(ms, n_min)[0]
+    n, v = part.n.astype(float), part.value
+    lx, ly = np.log(n[v > 0.0]), np.log(v[v > 0.0])
+    xc = lx - lx.mean()
+    alpha = float((xc * (ly - ly.mean())).sum() / (xc * xc).sum())
+    log_c = float(ly.mean() - alpha * lx.mean())
+    if method == "loglog":
+        resid = ly - (log_c + alpha * lx)
+        return math.exp(log_c), alpha, float(resid @ resid), None, True
+    return reference_gauss_newton(n, v, math.exp(log_c), alpha)
+
+
+class TestWeightedPerNPoints:
+    """An off-means fit is a count-weighted fit of per-N points, plus SS_pure."""
+
+    @pytest.mark.parametrize("c, alpha", [(30.0, -0.62), (5.0, -0.2)])
+    def test_weighted_rss_plus_pure_error_is_the_per_value_rss(self, c, alpha):
+        ms = synth_curve(TestBootstrap.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        x, y, weights, ss_pure, values = fitting._xy(window(ms)[1], on_means=False)
+        per_value = float(((ms.value - c * ms.n.astype(float) ** alpha) ** 2).sum())
+        weighted = float((weights * (y - c * x**alpha) ** 2).sum()) + ss_pure
+        assert weighted == pytest.approx(per_value, rel=1e-12)
+        assert values is ms.value and ss_pure > 0.0
+
+    def test_off_means_fits_match_the_per_value_fits_on_the_number_gate_sets(self):
+        """Every set the number gate builds: the log-log fit in both windows, and Gauss-Newton off
+        means where the gate runs it off means.  The log-log line is a closed
+        form: c and alpha agree to 1e-9 relative, and an exponent that is rounding noise about 0 to
+        1e-12.  Gauss-Newton stops on a relative rss decrease below ``GN_REL_TOL``, which fixes its
+        iterate only to about sqrt(GN_REL_TOL): c and alpha agree to that.  The rss agrees to 1e-9
+        relative, above the rounding floor of a sum of squared residuals: eps**2 per squared term
+        of a residual, 1000 times over.  Convergence agrees on every case."""
+        import test_number_gate as gate
+
+        eps = np.finfo(float).eps
+        cases = 0
+        for seed in range(gate.SETS):
+            ms = gate._set(seed)
+            for sub in map(ms.only, ms.metrics()):
+                grid = sub.distinct_n()
+                n_min = grid[1] if len(grid) > 2 else None
+                runs = [(lo, "loglog", fit_loglog) for lo in {None, n_min}]
+                if seed % 2:  # Gauss-Newton costs most: the gate's own off-means run
+                    runs.append((n_min if seed % 4 < 2 else None, "nonlinear", fit_nonlinear))
+                for n_min, method, fit in runs:
+                    try:
+                        got = fit(sub, n_min, on_means=False)
+                    except NonConvergenceError:
+                        assert not per_value_fit(sub, n_min, method)[4]
+                        continue
+                    except ToolkitError:
+                        continue
+                    c, alpha, rss, _, converged = per_value_fit(sub, n_min, method)
+                    assert converged
+                    part = window(sub, n_min)[0]
+                    n = part.n.astype(float)
+                    if method == "loglog":  # a residual log v - (log c + alpha log n) rounds with its terms
+                        terms = abs(np.log(part.value)) + abs(math.log(c)) + abs(alpha * np.log(n))
+                    else:
+                        terms = part.value + c * n**alpha
+                    assert abs(got.rss - rss) <= 1e-9 * rss + 1e3 * eps**2 * float(terms @ terms)
+                    tol = 1e-9 if method == "loglog" else math.sqrt(fitting.GN_REL_TOL)
+                    assert got.c == pytest.approx(c, rel=tol)
+                    assert got.alpha == pytest.approx(alpha, rel=tol, abs=1e-12)
+                    cases += 1
+        assert cases > 1000
 
 
 class TestNonlinearOracle:

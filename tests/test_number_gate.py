@@ -32,7 +32,7 @@ from learncurve.artifacts import measurements_to_csv
 from learncurve.model import group_means, window
 
 SETS = 400
-DIGEST = "0c2b0df87d0dc57c242e6acc98be0d108f85d935ad8194dd5fa918fe169cf5b9"
+DIGEST = "933ed24498b2fb29cc37b77b64e36b6e98930c718550ecdf54845b94a2ef0b6e"
 
 
 def _hex(x) -> str:

@@ -21,7 +21,7 @@ from pathlib import Path
 from learncurve import artifacts
 from learncurve.cli import main
 
-DIGEST = "51760e6edf2e6a06db55e5a6793b81f246ce54380db7369c4f0677d47bb96590"
+DIGEST = "45795c05a4936b48c6dd0716243758750f4156ab6bace637d92223008ec4be25"
 
 SYNTH = ["synth", "--replicates", "3", "--sigma", "0.05", "--metric", "top1_error"]
 TINY = "100,200,400,800,1600,3200,6400"
