@@ -2,6 +2,7 @@
 
 import math
 import operator
+import sys
 
 
 class ToolkitError(Exception):
@@ -93,6 +94,7 @@ def is_real(x, lo=-math.inf, hi=math.inf) -> bool:
 
 
 def is_number(x) -> bool:
-    """Whether ``x`` is an integer (see :func:`is_integer`) or a float, nan and inf included:
-    a value that compares with the bounds its own rule then sets."""
-    return is_integer(x) or isinstance(x, float)
+    """Whether ``x`` is an integer within the float range (see :func:`is_integer`) or a float, nan
+    and inf included: a value that compares with the bounds its own rule then sets, and converts
+    to a float."""
+    return isinstance(x, float) or is_integer(x) and abs(operator.index(x)) <= sys.float_info.max

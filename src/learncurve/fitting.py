@@ -50,6 +50,9 @@ GN_MAX_ITER = 200
 GN_REL_TOL = 1e-10
 GN_MAX_HALVINGS = 30
 
+# bootstrap_ci refuses more draws than this: its run time and its list of exponents grow with them.
+MAX_DRAWS = 10**6
+
 # bootstrap_ci draws its resamples in blocks, and refits them in batches, of about this many values
 # (resampled values per block, per-N points per batch).
 BLOCK_VALUES = 8192
@@ -393,7 +396,8 @@ def bootstrap_ci(
     Replicates are resampled with replacement independently within each N,
     the curve is refitted per draw, and the interval is the percentile
     range of the resampled exponents.  All uniforms come from one Philox
-    stream keyed by ``SeedSequence(seed)``; draw ``i`` takes the counter
+    stream keyed by ``SeedSequence(seed)``, and ``draws`` may be at most
+    ``MAX_DRAWS``; draw ``i`` takes the counter
     blocks ``[i*w/4, (i+1)*w/4)``, where ``w = 4*ceil(P/4)`` for ``P``
     resampled values, so it depends only on ``(seed, i, P)``, not on the
     block size or on ``draws``.  Each resample is reduced to the per-N
@@ -410,6 +414,8 @@ def bootstrap_ci(
     draws = check_integer(draws, "draws")
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
+    if draws > MAX_DRAWS:
+        raise ParameterError(f"draws must be <= {MAX_DRAWS}, got {draws!r}")
     if not (is_real(confidence) and 0.0 < confidence < 1.0):
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
     seed = check_seed(seed)

@@ -70,7 +70,7 @@ class ThreePhaseModel:
     def evaluate(self, n: float) -> float:
         """Loss at sample count ``n`` (clamped power law)."""
         if not (is_number(n) and n >= 1):
-            raise ParameterError(f"sample count must be >= 1, got {n}")
+            raise ParameterError(f"sample count must be >= 1, got {n!r}")
         return min(max(self.c * float_power(n, self.alpha), self.floor), self.plateau)
 
 
@@ -338,7 +338,7 @@ def synth_curve(
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if not (is_number(noise_sigma) and 0 <= noise_sigma < math.inf):
-        raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma}")
+        raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma!r}")
     seed = check_seed(seed)
 
     values = np.repeat([model.evaluate(n) for n in sizes], replicates)

@@ -83,7 +83,7 @@ def _require_decreasing(fit: PowerLawFit, label: str = "fitted") -> None:
 def _sample_size(fit: PowerLawFit, target_loss: float) -> float:
     """The real N at which the fit reaches ``target_loss``: ``(target / c) ** (1 / alpha)``."""
     if not (is_number(target_loss) and target_loss > 0):
-        raise ParameterError(f"target loss must be positive, got {target_loss}")
+        raise ParameterError(f"target loss must be positive, got {target_loss!r}")
     return float_power(target_loss / fit.c, 1.0 / fit.alpha)
 
 

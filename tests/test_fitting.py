@@ -281,6 +281,8 @@ def test_no_module_calls_np_unique():
     (bootstrap_ci, dict(draws=True), "draws must be a non-negative integer, got True"),
     (bootstrap_ci, dict(draws=0), "draws must be >= 1, got 0"),
     (bootstrap_ci, dict(draws=np.int64(-3)), "draws must be >= 1, got -3"),
+    (bootstrap_ci, dict(draws=2**64), "draws must be <= 1000000, got 18446744073709551616"),
+    (bootstrap_ci, dict(draws=np.uint64(10**6 + 1)), "draws must be <= 1000000, got 1000001"),
     (bootstrap_ci, dict(confidence=None), "confidence must lie in (0, 1), got None"),
     (bootstrap_ci, dict(confidence="0.9"), "confidence must lie in (0, 1), got '0.9'"),
     (bootstrap_ci, dict(confidence=np.float64(1.0)), "confidence must lie in (0, 1), got np.float64(1.0)"),

@@ -113,7 +113,7 @@ class TestReproductions:
         with pytest.raises(ParameterError, match="exceeds the float range") as info:
             MeasurementSet([("m", 10, 0, 1.0), ("m", 2**1100, 0, 1.0)])
         assert info.value.index == 1
-        with pytest.raises(NumericError):
+        with pytest.raises(ParameterError, match=f"^sample count must be >= 1, got {2**1100}$"):
             ThreePhaseModel(alpha=-0.5, c=1.0, plateau=2.0).evaluate(2**1100)
 
     def test_nonlinear_fit_near_the_float_range_is_numeric(self, recwarn):

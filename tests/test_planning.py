@@ -237,10 +237,14 @@ def _model(**fields):
     (lambda: _model(alpha=0.5), "alpha must lie in (-1, 0), got 0.5"),
     (lambda: MODEL.evaluate(None), "sample count must be >= 1, got None"),
     (lambda: MODEL.evaluate(math.nan), "sample count must be >= 1, got nan"),
+    (lambda: MODEL.evaluate("5"), "sample count must be >= 1, got '5'"),
+    (lambda: MODEL.evaluate(2**2000), f"sample count must be >= 1, got {2**2000}"),
+    (lambda: MODEL.evaluate(np.float64(0.5)), "sample count must be >= 1, got np.float64(0.5)"),
     (lambda: MODEL.evaluate(np.int64(4)), 0.5),
     (lambda: MODEL.evaluate(math.inf), 0.1),
     (lambda: synth_curve(MODEL, [10], 2, None, seed=1), "noise_sigma must be a finite float >= 0, got None"),
-    (lambda: synth_curve(MODEL, [10], 2, "0.1", seed=1), "noise_sigma must be a finite float >= 0, got 0.1"),
+    (lambda: synth_curve(MODEL, [10], 2, "0.1", seed=1), "noise_sigma must be a finite float >= 0, got '0.1'"),
+    (lambda: synth_curve(MODEL, [10], 2, 2**2000, seed=1), f"noise_sigma must be a finite float >= 0, got {2**2000}"),
     (lambda: synth_curve(MODEL, [10], 2, math.inf, seed=1), "noise_sigma must be a finite float >= 0, got inf"),
     (lambda: synth_curve(MODEL, [16], 2, np.int64(0), seed=1).value.tolist(), [0.25, 0.25]),
     (lambda: random_guess_plateau(TOP1_ERROR, None), "n_classes must be a non-negative integer, got None"),
@@ -249,11 +253,14 @@ def _model(**fields):
     (lambda: random_guess_plateau(TOP1_ERROR, True), "need at least 2 classes, got True"),
     (lambda: random_guess_plateau(TOP1_ERROR, np.int64(4)), 0.75),
     (lambda: required_sample_size(FIT, None), "target loss must be positive, got None"),
-    (lambda: required_sample_size(FIT, "0.1"), "target loss must be positive, got 0.1"),
+    (lambda: required_sample_size(FIT, "0.1"), "target loss must be positive, got '0.1'"),
+    (lambda: required_sample_size(FIT, 2**2000), f"target loss must be positive, got {2**2000}"),
+    (lambda: required_sample_size(FIT, 2**1000), 1),
     (lambda: required_sample_size(FIT, 0), "target loss must be positive, got 0"),
     (lambda: required_sample_size(FIT, math.inf), 1),
     (lambda: required_sample_size(FIT, np.int64(1)), 1),
-    (lambda: noise_impact(FIT, FIT, ["x"]), "target loss must be positive, got x"),
+    (lambda: noise_impact(FIT, FIT, ["x"]), "target loss must be positive, got 'x'"),
+    (lambda: noise_impact(FIT, FIT, [0.5, 2**2000]), f"target loss must be positive, got {2**2000}"),
 ], ids=lambda v: str(v)[:48] if not callable(v) else "")
 def test_scalar_arguments_go_through_the_rule_homes(call, expected):
     """A scalar argument of the model and planning functions meets its rule home (``errors.is_real``,
