@@ -7,15 +7,10 @@ Two estimation routes for ``L(N) = c * N**alpha``:
 * :func:`fit_nonlinear` -- damped Gauss-Newton on the original scale,
   minimizing ``sum (L_i - c * N_i**alpha)**2``.
 
-Every fit sees one point per distinct N.  On the per-N means each point
-has weight 1.  Off them, every replicate counts, but the replicates of one
-N share it, so ``sum_i (y_i - f(N_i))**2 = sum_g R_g * (mean_g - f(N_g))**2
-+ SS_pure``, where ``R_g`` is the group's count and ``SS_pure``, the sum of
-squares within the groups, does not depend on the fit (the lack-of-fit /
-pure-error split of Draper & Smith, *Applied Regression Analysis*, 3rd ed.,
-§2.1).  So an off-means fit is a count-weighted fit of the per-N means (of
-the per-N means of the logs for a log-log fit); its rss adds ``SS_pure``
-back, and its r-squared still covers every value.
+Every fit sees one point per distinct N (see :func:`_xy`): off the means,
+``sum_i (y_i - f(N_i))**2 = sum_g R_g*(mean_g - f(N_g))**2 + SS_pure`` for
+group counts ``R_g`` and the within-group sum of squares ``SS_pure``, which
+no fit moves (Draper & Smith, *Applied Regression Analysis*, 3rd ed., §2.1).
 
 The two weight residuals differently and therefore disagree on noisy
 data; :func:`fit_discrepancy` quantifies by how much.
@@ -78,15 +73,12 @@ def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing mean raises NumericError; SS_pure ends as inf
 def _xy(groups: Groups, on_means: bool, log: bool = False, what: str = "a per-N mean"):
-    """The per-N points a fit sees, as ``(x, y, weights, ss_pure, values)``: x the sample counts,
-    one y per group of ``groups`` (``groups.values`` may hold one set of values per row, then
-    y and ``ss_pure`` hold one entry per row), and ``values`` what r-squared's total sum of
-    squares covers.  ``what`` names the mean in an overflow's message.
-
-    On means y is each group's mean (its log with ``log``), each point of weight 1, ``ss_pure`` 0,
-    and the values are y.  Off means y is the mean of each group's values (of their logs with
-    ``log``), weighted by the group's count; ``ss_pure`` is their sum of squares about it, and the
-    values are every value (every log).
+    """The per-N points a fit sees, ``(x, y, weights, ss_pure, values)``, for ``groups`` whose values
+    may hold one set per row (y and ``ss_pure`` then hold one entry per row).  On means y is each
+    group's mean (its log with ``log``) of weight 1, ``ss_pure`` is 0 and the values are y.  Off
+    means y is the mean of each group's values (of their logs with ``log``) weighted by the
+    group's count, ``ss_pure`` their sum of squares about it, and the values every value (log):
+    what r-squared's total sum of squares covers.  ``what`` names the mean in an overflow's message.
     """
     values = np.log(groups.values) if log and not on_means else groups.values
     y = require_finite(reduce_groups(values, groups.counts, np.mean), what)
@@ -106,7 +98,7 @@ def _ols(x: np.ndarray, y: np.ndarray, weights=1.0) -> tuple[np.ndarray, np.ndar
     Returns slope and intercept, one entry per line (0-d for one line).
     """
     total = np.broadcast_to(weights, x.shape).sum(axis=-1, keepdims=True)
-    xm, ym = (weights * x).sum(axis=-1, keepdims=True) / total, (weights * y).sum(axis=-1, keepdims=True) / total
+    xm, ym = ((weights * v).sum(axis=-1, keepdims=True) / total for v in (x, y))
     xc = x - xm
     wxc = weights * xc
     slope = (wxc * (y - ym)).sum(axis=-1) / (wxc * xc).sum(axis=-1)
