@@ -86,8 +86,10 @@ def _xy(groups: Groups, on_means: bool, log: bool = False, what: str = "a per-N 
     if on_means:
         y = np.log(y) if log else y
         return x, y, 1.0, np.zeros(y.shape[:-1]), y
-    within = values - np.repeat(y, groups.counts, axis=-1)
-    return x, y, groups.counts.astype(float), (within * within).sum(axis=-1), values
+    within = np.repeat(y, groups.counts, axis=-1)
+    np.subtract(values, within, out=within)
+    within *= within
+    return x, y, groups.counts.astype(float), within.sum(axis=-1), values
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # sample counts equal in log space give a nan slope
@@ -207,7 +209,10 @@ def _gauss_newton(
     of that row alone.  Returns arrays (c, alpha, rss, iterations, converged), one per row.
     """
     ln_n = np.log(n)
-    w_col = np.asarray(weights)[..., None]  # the weights down a Jacobian's rows
+    # W**0.5 J and W**0.5 (y - f) give the weighted normal equations; both are scaled in place,
+    # so weighting adds no array to an iteration.
+    root_w = np.sqrt(weights)
+    root_w_col = np.reshape(root_w, (-1, 1))
     pure = np.full(len(y), ss_pure, dtype=float)
     c = np.full(len(y), c0, dtype=float)
     a = np.full(len(y), a0, dtype=float)
@@ -220,8 +225,11 @@ def _gauss_newton(
         pow_na = n ** a_l[:, None]
         f = c_l[:, None] * pow_na
         jac = np.stack((pow_na, f * ln_n), axis=-1)  # d/dc, d/dalpha
-        jac_t = (jac * w_col).transpose(0, 2, 1)
-        delta, solved = _solve_rows(jac_t @ jac, jac_t @ (y_l - f)[:, :, None])
+        jac *= root_w_col
+        resid = np.subtract(y_l, f, out=f)
+        resid *= root_w
+        jac_t = jac.transpose(0, 2, 1)
+        delta, solved = _solve_rows(jac_t @ jac, jac_t @ resid[:, :, None])
 
         new_c, new_a, new_rss = c_l, a_l, rss_l
         search = solved

@@ -541,10 +541,10 @@ def reference_gauss_newton(n, y, c0, a0, weights=1.0, ss_pure=0.0):
         pow_na = n**a
         f = c * pow_na
         r = y - f
-        jac = np.column_stack((pow_na, f * ln_n))
-        jac_w = jac * np.reshape(weights, (-1, 1))
+        jac = np.column_stack((pow_na, f * ln_n)) * np.reshape(np.sqrt(weights), (-1, 1))
+        r = r * np.sqrt(weights)
         try:
-            delta = np.linalg.solve(jac_w.T @ jac, jac_w.T @ r)
+            delta = np.linalg.solve(jac.T @ jac, jac.T @ r)
         except np.linalg.LinAlgError:
             return c, a, rss, iteration, False
         step = 1.0

@@ -32,7 +32,7 @@ from learncurve.artifacts import measurements_to_csv
 from learncurve.model import group_means, window
 
 SETS = 400
-DIGEST = "933ed24498b2fb29cc37b77b64e36b6e98930c718550ecdf54845b94a2ef0b6e"
+DIGEST = "3755a78244f07cacd486747f418a14f929d0864a9044ebd2dbc39fa544e1f990"
 
 
 def _hex(x) -> str:

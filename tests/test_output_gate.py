@@ -21,7 +21,7 @@ from pathlib import Path
 from learncurve import artifacts
 from learncurve.cli import main
 
-DIGEST = "45795c05a4936b48c6dd0716243758750f4156ab6bace637d92223008ec4be25"
+DIGEST = "b5a3d2c4b16e8b370e2d54b8a07c2cf3e977195685d3cfb4dfa83a91c65a79cd"
 
 SYNTH = ["synth", "--replicates", "3", "--sigma", "0.05", "--metric", "top1_error"]
 TINY = "100,200,400,800,1600,3200,6400"
