@@ -792,9 +792,8 @@ class TestWeightedPerNPoints:
 
     def test_off_means_fits_match_the_per_value_fits_on_the_number_gate_sets(self):
         """Every set the number gate builds: the log-log fit in both windows, and Gauss-Newton off
-        means where the gate runs it off means.  The log-log line is a closed
-        form: c and alpha agree to 1e-9 relative, and an exponent that is rounding noise about 0 to
-        1e-12.  Gauss-Newton stops on a relative rss decrease below ``GN_REL_TOL``, which fixes its
+        means where the gate runs it off means.  The log-log line is a closed form: c and alpha
+        agree to 1e-9 relative, and an exponent that is rounding noise about 0 to 1e-12.  Gauss-Newton stops on a relative rss decrease below ``GN_REL_TOL``, which fixes its
         iterate only to about sqrt(GN_REL_TOL): c and alpha agree to that.  The rss agrees to 1e-9
         relative, above the rounding floor of a sum of squared residuals: eps**2 per squared term
         of a residual, 1000 times over.  Convergence agrees on every case."""
@@ -810,17 +809,17 @@ class TestWeightedPerNPoints:
                 runs = [(lo, "loglog", fit_loglog) for lo in {None, n_min}]
                 if seed % 2:  # Gauss-Newton costs most: the gate's own off-means run
                     runs.append((n_min if seed % 4 < 2 else None, "nonlinear", fit_nonlinear))
-                for n_min, method, fit in runs:
+                for lo, method, fit in runs:
                     try:
-                        got = fit(sub, n_min, on_means=False)
+                        got = fit(sub, lo, on_means=False)
                     except NonConvergenceError:
-                        assert not per_value_fit(sub, n_min, method)[4]
+                        assert not per_value_fit(sub, lo, method)[4]
                         continue
                     except ToolkitError:
                         continue
-                    c, alpha, rss, _, converged = per_value_fit(sub, n_min, method)
+                    c, alpha, rss, _, converged = per_value_fit(sub, lo, method)
                     assert converged
-                    part = window(sub, n_min)[0]
+                    part = window(sub, lo)[0]
                     n = part.n.astype(float)
                     if method == "loglog":  # a residual log v - (log c + alpha log n) rounds with its terms
                         terms = abs(np.log(part.value)) + abs(math.log(c)) + abs(alpha * np.log(n))
