@@ -42,7 +42,9 @@ IMAGES_HEADER = "image_id,class,capture_group"
 # the input lists them in.  The layout is that of schema 2.
 # 4: off-means fits are count-weighted fits of per-N points (their rss
 # still covers every value).  The layout is that of schema 2.
-SCHEMA_VERSION = 4
+# 5: region r-squared comes from one pass of running co-moments, so it
+# moves in the last bits.  The layout is that of schema 2.
+SCHEMA_VERSION = 5
 # A created_at entry as dumps_canonical writes it, at any depth.
 CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
 

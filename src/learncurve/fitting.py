@@ -71,25 +71,34 @@ def _select(ms: MeasurementSet, n_min, n_max) -> tuple[MeasurementSet, Groups]:
     return sub, groups
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing mean raises NumericError; SS_pure ends as inf
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing mean raises NumericError
 def _xy(groups: Groups, on_means: bool, log: bool = False, what: str = "a per-N mean"):
-    """The per-N points a fit sees, ``(x, y, weights, ss_pure, values)``, for ``groups`` whose values
-    may hold one set per row (y and ``ss_pure`` then hold one entry per row).  On means y is each
-    group's mean (its log with ``log``) of weight 1, ``ss_pure`` is 0 and the values are y.  Off
-    means y is the mean of each group's values (of their logs with ``log``) weighted by the
-    group's count, ``ss_pure`` their sum of squares about it, and the values every value (log):
-    what r-squared's total sum of squares covers.  ``what`` names the mean in an overflow's message.
+    """The per-N points a fit sees, ``(x, y, weights, values)``, for ``groups`` whose values may
+    hold one set per row (y then holds one row per set).  On means y is each group's mean (its
+    log with ``log``) of weight 1 and the values are y.  Off means y is the mean of each group's
+    values (of their logs with ``log``) weighted by the group's count, and the values every value
+    (log): what r-squared's total sum of squares covers.  ``what`` names the mean in an
+    overflow's message.
     """
     values = np.log(groups.values) if log and not on_means else groups.values
     y = require_finite(reduce_groups(values, groups.counts, np.mean), what)
     x = np.asarray(groups.n, dtype=float)
     if on_means:
         y = np.log(y) if log else y
-        return x, y, 1.0, np.zeros(y.shape[:-1]), y
-    within = np.repeat(y, groups.counts, axis=-1)
+        return x, y, 1.0, y
+    return x, y, groups.counts.astype(float), values
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing spread ends as inf
+def _ss_pure(counts: np.ndarray, y: np.ndarray, values: np.ndarray, on_means: bool) -> np.ndarray:
+    """``SS_pure`` of the points ``y`` and ``values`` of :func:`_xy`, one entry per row of y: 0 on
+    means, off them the sum of squares of each group's ``counts`` values about their mean."""
+    if on_means:
+        return np.zeros(y.shape[:-1])
+    within = np.repeat(y, counts, axis=-1)
     np.subtract(values, within, out=within)
     within *= within
-    return x, y, groups.counts.astype(float), within.sum(axis=-1), values
+    return within.sum(axis=-1)
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # sample counts equal in log space give a nan slope
@@ -134,16 +143,6 @@ def _require_positive(ms: MeasurementSet) -> None:
         )
 
 
-def _loglog_line(log_n, log_y, weights=1.0, ss_pure=0.0, values=None) -> tuple[float, float, float, float | None]:
-    """Slope, intercept, rss and r-squared of the weighted least-squares line through (log_n, log_y),
-    the points of :func:`_xy` (``values`` None: they are ``log_y``)."""
-    alpha, log_c = map(float, _ols(log_n, log_y, weights))
-    resid = log_y - (log_c + alpha * log_n)
-    rss = float((weights * resid) @ resid + ss_pure)
-    values = log_y if values is None else values
-    return alpha, log_c, rss, _r_squared(rss, float(((values - values.mean()) ** 2).sum()))
-
-
 def fit_loglog(
     ms: MeasurementSet,
     n_min: int | None = None,
@@ -160,15 +159,18 @@ def fit_loglog(
     """
     sub, groups = _select(ms, n_min, n_max)
     _require_positive(sub)
-    x, log_y, weights, ss_pure, values = _xy(groups, on_means, log=True)
-    alpha, log_c, rss, r_squared = _loglog_line(np.log(x), log_y, weights, ss_pure, values)
+    x, log_y, weights, values = _xy(groups, on_means, log=True)
+    log_n = np.log(x)
+    alpha, log_c = map(float, _ols(log_n, log_y, weights))
+    resid = log_y - (log_c + alpha * log_n)
+    rss = float((weights * resid) @ resid + _ss_pure(groups.counts, log_y, values, on_means))
     return PowerLawFit(
         alpha=alpha,
         c=_exp_c(log_c),
         method=LOGLOG,
         n_range=(groups.n[0], groups.n[-1]),
         rss=rss,
-        r_squared=r_squared,
+        r_squared=_r_squared(rss, float(((values - values.mean()) ** 2).sum())),
     )
 
 
@@ -278,7 +280,7 @@ def fit_nonlinear(
     iterations do not converge.
     """
     sub, groups = _select(ms, n_min, n_max)
-    x, y, weights, ss_pure, values = _xy(groups, on_means)
+    x, y, weights, values = _xy(groups, on_means)
 
     if init is not None:
         c0, a0 = init.c, init.alpha
@@ -290,12 +292,13 @@ def fit_nonlinear(
                 "cannot derive an initial guess: fewer than 2 distinct sample counts "
                 "with positive values; pass init explicitly"
             )
-        pos_x, log_y, pos_weights, _, _ = _xy(pos_groups, on_means, log=True)
+        pos_x, log_y, pos_weights, _ = _xy(pos_groups, on_means, log=True)
         a0, log_c0 = map(float, _ols(np.log(pos_x), log_y, pos_weights))
         c0 = _exp_c(log_c0)
 
     c, a, rss, iterations, converged = (
-        v[0].item() for v in _gauss_newton(x, y[None, :], c0, a0, weights, ss_pure)
+        v[0].item()
+        for v in _gauss_newton(x, y[None, :], c0, a0, weights, _ss_pure(groups.counts, y, values, on_means))
     )
     with np.errstate(over="ignore", invalid="ignore"):
         ss_tot = float(((values - values.mean()) ** 2).sum())
@@ -346,6 +349,12 @@ def detect_power_law_region(
     random-guess points out of the region.  The end is reported only when
     the trailing means flatten: the log-log slope of the last three grid
     points must exceed a quarter of the fitted exponent.
+
+    One backward pass over the grid merges one point at a time into the
+    running co-moments of (log N, log mean), taken about the last point,
+    by Welford's update (raw power sums would cancel catastrophically), so
+    every suffix's slope ``Sxy/Sxx`` and r-squared ``Sxy**2/(Sxx*Syy)``
+    come in O(G) time.  An r-squared is None where ``Sxx`` or ``Syy`` is 0.
     """
     if not is_real(r2_threshold, 0.0, 1.0):
         raise ParameterError(f"r2_threshold must lie in [0, 1], got {r2_threshold!r}")
@@ -361,14 +370,28 @@ def detect_power_law_region(
 
     diagnostics: dict[int, float | None] = {}
     start = None
-    for k, n0 in enumerate(grid[:-1]):  # the last point alone cannot anchor a fit
-        alpha, _, _, r_squared = _loglog_line(log_n[k:], log_mean[k:])
+    count = mx = my = sxx = syy = sxy = 0.0
+    # Taken about the last point, which every suffix holds, so means equal to a few ulps keep their spread.
+    shifted = zip((log_n - log_n[-1]).tolist(), (log_mean - log_mean[-1]).tolist(), grid, means.tolist())
+    for lx, ly, n0, mean in reversed(list(shifted)):
+        count += 1.0
+        dx, dy = lx - mx, ly - my
+        mx += dx / count
+        my += dy / count
+        ey = ly - my
+        sxx += dx * (lx - mx)
+        syy += dy * ey
+        sxy += dx * ey
+        if count == 1.0:  # the last point alone cannot anchor a fit
+            continue
+        r_squared = min(sxy * sxy / (sxx * syy), 1.0) if sxx and syy else None
         diagnostics[n0] = r_squared
         ok = r_squared is not None and r_squared >= r2_threshold
         if ok and plateau is not None:
-            ok = means[k] < 0.95 * plateau
-        if ok and start is None:
-            start, start_alpha = n0, alpha
+            ok = mean < 0.95 * plateau
+        if ok:  # the pass runs backwards: the last suffix to pass is the first
+            start, start_alpha = n0, sxy / sxx
+    diagnostics = dict(reversed(diagnostics.items()))
     if start is None:
         raise NoRegionError(
             f"no suffix of the grid reaches r_squared >= {r2_threshold}",
@@ -446,9 +469,10 @@ def bootstrap_ci(
         for start in range(first, min(first + batch, draws), rows):
             block = rng.random((min(rows, draws - start), width))[:, : len(values)]
             resample = Groups(x, counts, values[group_start + (block * group_size).astype(np.intp)])
-            _, y, weights, ss_pure, _ = _xy(resample, on_means, method == LOGLOG, "a resampled per-N mean")
+            _, y, weights, resampled = _xy(resample, on_means, method == LOGLOG, "a resampled per-N mean")
             ys.append(y)
-            pure.append(ss_pure)
+            if method == NONLINEAR:  # the log-log refit has no use for SS_pure
+                pure.append(_ss_pure(counts, y, resampled, on_means))
         y = np.concatenate(ys)
         if method == LOGLOG:
             alphas.append(_ols(log_x, y, weights)[0])

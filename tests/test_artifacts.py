@@ -233,7 +233,7 @@ class TestLoader:
         path.write_text(json.dumps(doc))
         assert load_fit_artifact(path).fit() == dataclasses.replace(fit, draws_failed=None)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_schema_2_and_3_files_load_unchanged(self, tmp_path, version):
         fit = bootstrap_ci(synth_set(), "loglog", draws=50, seed=1)
         doc = FitArtifact.from_fit(fit, "top1_error", "0" * 64, {}).to_dict()

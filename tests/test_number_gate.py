@@ -32,7 +32,7 @@ from learncurve.artifacts import measurements_to_csv
 from learncurve.model import group_means, window
 
 SETS = 400
-DIGEST = "3755a78244f07cacd486747f418a14f929d0864a9044ebd2dbc39fa544e1f990"
+DIGEST = "313b842a42d878839615678b19beec05ca213c89ad98d2c4e29e28aac79fdb79"
 
 
 def _hex(x) -> str:
