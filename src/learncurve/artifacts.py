@@ -44,7 +44,9 @@ IMAGES_HEADER = "image_id,class,capture_group"
 # still covers every value).  The layout is that of schema 2.
 # 5: region r-squared comes from one pass of running co-moments, so it
 # moves in the last bits.  The layout is that of schema 2.
-SCHEMA_VERSION = 5
+# 6: Gauss-Newton solves its 2x2 step by pivoted elimination, so nonlinear
+# c and alpha move in the last bits.  The layout is that of schema 2.
+SCHEMA_VERSION = 6
 # A created_at entry as dumps_canonical writes it, at any depth.
 CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
 

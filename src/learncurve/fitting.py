@@ -174,24 +174,7 @@ def fit_loglog(
     )
 
 
-def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.solve`` on each stacked system; singular ones give NaN and False.
-
-    LAPACK solves each system on its own, so a row's result does not depend
-    on its neighbours; a stack holding a singular system is split in halves
-    until that system stands alone.
-    """
-    try:
-        return np.linalg.solve(lhs, rhs)[..., 0], np.ones(len(lhs), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(lhs) == 1:
-            return np.full((1, lhs.shape[-1]), np.nan), np.zeros(1, dtype=bool)
-        half = len(lhs) // 2
-        head, tail = _solve_rows(lhs[:half], rhs[:half]), _solve_rows(lhs[half:], rhs[half:])
-        return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a row that leaves the float range ends as inf or nan
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a row that leaves the float range ends as inf or nan
 def _gauss_newton(
     n: np.ndarray, y: np.ndarray, c0: float, a0: float, weights=1.0, ss_pure=0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -199,22 +182,26 @@ def _gauss_newton(
 
     Every row shares the sample counts ``n``, the per-point ``weights`` and the start (c0, a0);
     ``ss_pure`` (a scalar or one per row) is added to each row's weighted sum, so the rss, its
-    relative decrease and the returned rss are those of every value behind the points.  Full
-    step first, then step halving (factor 0.5, at most ``GN_MAX_HALVINGS``
-    halvings) until the residual sum of squares decreases; candidates with
-    c <= 0 are rejected the same way.  If no improving step exists the
-    iterate is stationary and the row has converged; otherwise convergence
-    means a relative rss decrease below ``GN_REL_TOL``.  A row whose normal
-    matrix is singular stops unconverged.  Each iteration gathers the iterates of the rows
-    still iterating through one index, ``live``, and writes them back (their data rows drop
-    out as rows stop); every row goes through the same floating-point operations as a solve
-    of that row alone.  Returns arrays (c, alpha, rss, iterations, converged), one per row.
+    relative decrease and the returned rss are those of every value behind the points.
+
+    The step solves the 2x2 normal equations ``[pp pq; pq qq] d = [g0; g1]``, with each entry one
+    row sum of products of ``p = n**a``, ``q = c*p*ln n`` and the residual, all scaled by
+    ``weights**0.5``, by Gaussian elimination with partial pivoting (LAPACK's method: the row
+    with the larger first entry leads).  The pivot or ``u22`` being 0 makes the matrix singular,
+    and such a row stops unconverged.  Full step first, then step halving (factor 0.5, at most
+    ``GN_MAX_HALVINGS`` halvings) until the residual sum of squares decreases; candidates with
+    c <= 0 are rejected the same way.  Each halving pass takes only the rows still searching,
+    through their index ``search``.  If no improving step exists the iterate is stationary and
+    the row has converged; otherwise convergence means a relative rss decrease below
+    ``GN_REL_TOL``.  Each iteration gathers the iterates of the rows still iterating through
+    one index, ``live``, and writes each accepted step back (their data rows drop out as rows
+    stop); every row goes through the same floating-point operations as a solve of that row
+    alone.  Returns arrays (c, alpha, rss, iterations, converged), one per row.
     """
     ln_n = np.log(n)
     # W**0.5 J and W**0.5 (y - f) give the weighted normal equations; both are scaled in place,
     # so weighting adds no array to an iteration.
     root_w = np.sqrt(weights)
-    root_w_col = np.reshape(root_w, (-1, 1))
     pure = np.full(len(y), ss_pure, dtype=float)
     c = np.full(len(y), c0, dtype=float)
     a = np.full(len(y), a0, dtype=float)
@@ -224,36 +211,40 @@ def _gauss_newton(
     live, y_l, pure_l = np.arange(len(y)), y, pure
     for iteration in range(1, GN_MAX_ITER + 1):
         c_l, a_l, rss_l = c[live], a[live], rss[live]
-        pow_na = n ** a_l[:, None]
-        f = c_l[:, None] * pow_na
-        jac = np.stack((pow_na, f * ln_n), axis=-1)  # d/dc, d/dalpha
-        jac *= root_w_col
+        p = n ** a_l[:, None]  # d/dc
+        f = c_l[:, None] * p
+        q = f * ln_n  # d/dalpha
         resid = np.subtract(y_l, f, out=f)
-        resid *= root_w
-        jac_t = jac.transpose(0, 2, 1)
-        delta, solved = _solve_rows(jac_t @ jac, jac_t @ resid[:, :, None])
+        for v in (p, q, resid):
+            v *= root_w
+        # einsum sums a row as it would sum that row alone; BLAS (@, np.dot) may not.
+        pp, pq, qq, g0, g1 = (np.einsum("ij,ij->i", u, v) for u, v in ((p, p), (p, q), (q, q), (p, resid), (q, resid)))
+        swap = np.abs(pq) > pp
+        (a11, a12, b1), (a21, a22, b2) = np.where(swap, ((pq, qq, g1), (pp, pq, g0)), ((pp, pq, g0), (pq, qq, g1)))
+        l21 = a21 / a11
+        u22 = a22 - l21 * a12
+        solved = (a11 != 0.0) & (u22 != 0.0)
+        d_a = (b2 - l21 * b1) / u22
+        d_c = (b1 - a12 * d_a) / a11
 
-        new_c, new_a, new_rss = c_l, a_l, rss_l
-        search = solved
+        search = np.flatnonzero(solved)
         step = 1.0
         for _ in range(GN_MAX_HALVINGS + 1):
-            cc = c_l + step * delta[:, 0]
-            aa = a_l + step * delta[:, 1]
-            trial = search & (cc > 0.0)
-            rr = np.full(len(live), np.inf)
-            rr[trial] = (weights * (y_l[trial] - cc[trial, None] * n ** aa[trial, None]) ** 2).sum(axis=1) + pure_l[trial]
-            better = rr < rss_l
-            new_c, new_a = np.where(better, cc, new_c), np.where(better, aa, new_a)
-            new_rss = np.where(better, rr, new_rss)
-            search = search & ~better
-            if not search.any():
+            if len(search) == 0:
                 break
+            cc = c_l[search] + step * d_c[search]
+            aa = a_l[search] + step * d_a[search]
+            rr = (weights * (y_l[search] - cc[:, None] * n ** aa[:, None]) ** 2).sum(axis=1) + pure_l[search]
+            better = (cc > 0.0) & (rr < rss_l[search])
+            took = live[search[better]]
+            c[took], a[took], rss[took] = cc[better], aa[better], rr[better]
+            search = search[~better]
             step *= 0.5
 
         # A row without a descent step is stationary: its rss change is zero.
+        new_rss = rss[live]
         drop = np.divide(rss_l - new_rss, rss_l, out=np.zeros(len(live)), where=new_rss < rss_l)
         stop = drop < GN_REL_TOL
-        c[live], a[live], rss[live] = new_c, new_a, new_rss
         if stop.any():
             converged[live[stop]], iterations[live[stop]] = solved[stop], iteration
             live, y_l, pure_l = live[~stop], y_l[~stop], pure_l[~stop]
@@ -277,7 +268,8 @@ def fit_nonlinear(
     here but have no logarithm).  Off the means it fits the per-N means
     weighted by their replicate counts, and its rss covers every value.
     Raises :class:`NonConvergenceError` carrying the last iterate if 200
-    iterations do not converge.
+    iterations do not converge, or if the normal matrix turns singular first;
+    the message says which, and at which iteration.
     """
     sub, groups = _select(ms, n_min, n_max)
     x, y, weights, values = _xy(groups, on_means)
@@ -313,11 +305,12 @@ def fit_nonlinear(
         iterations=iterations,
     )
     if not converged:
-        raise NonConvergenceError(
-            f"Gauss-Newton did not converge within {GN_MAX_ITER} iterations "
-            f"(last rss {rss:.6g})",
-            last_fit=fit,
+        why = (
+            f"stopped at iteration {iterations}: the normal matrix is singular"
+            if iterations < GN_MAX_ITER
+            else f"did not converge within {GN_MAX_ITER} iterations"
         )
+        raise NonConvergenceError(f"Gauss-Newton {why} (last rss {rss:.6g})", last_fit=fit)
     return fit
 
 

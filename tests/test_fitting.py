@@ -528,31 +528,39 @@ class TestBootstrap:
 
 
 def reference_gauss_newton(n, y, c0, a0, weights=1.0, ss_pure=0.0):
-    """Gauss-Newton on one problem, as fit_nonlinear and every bootstrap draw
-    ran it before refits were batched; the batched solver must match it bit
-    for bit.  With the default unit weights on every value of a set, it is
-    the per-value fit that off-means fits ran before they were weighted;
-    with the per-N points of :func:`weighted_points` it is the weighted fit
-    they run now."""
+    """Gauss-Newton on one problem, one step at a time: the pivoted 2x2 solve
+    and the step-halving search written out for a single row; the batched
+    solver must match it bit for bit.  Each normal-equation entry is one
+    einsum sum of products, and the 2x2 system is solved by Gaussian
+    elimination with partial pivoting: the row with the larger first entry
+    leads, and a zero pivot or ``u22`` is a singular matrix.  With the default
+    unit weights on every value of a set, it is the per-value fit that
+    off-means fits ran before they were weighted; with the per-N points of
+    :func:`weighted_points` it is the weighted fit they run now."""
     ln_n = np.log(n)
+    root_w = np.sqrt(weights)
     c, a = float(c0), float(a0)
     f = c * n**a
     rss = float((weights * (y - f) ** 2).sum()) + ss_pure
     for iteration in range(1, fitting.GN_MAX_ITER + 1):
         pow_na = n**a
         f = c * pow_na
-        r = y - f
-        jac = np.column_stack((pow_na, f * ln_n)) * np.reshape(np.sqrt(weights), (-1, 1))
-        r = r * np.sqrt(weights)
-        try:
-            delta = np.linalg.solve(jac.T @ jac, jac.T @ r)
-        except np.linalg.LinAlgError:
+        p, q, r = pow_na * root_w, f * ln_n * root_w, (y - f) * root_w
+        pp, pq, qq, g0, g1 = (float(np.einsum("i,i->", u, v)) for u, v in ((p, p), (p, q), (q, q), (p, r), (q, r)))
+        (a11, a12, b1), (a21, a22, b2) = ((pq, qq, g1), (pp, pq, g0)) if abs(pq) > pp else ((pp, pq, g0), (pq, qq, g1))
+        if a11 == 0.0:
             return c, a, rss, iteration, False
+        l21 = a21 / a11
+        u22 = a22 - l21 * a12
+        if u22 == 0.0:
+            return c, a, rss, iteration, False
+        d_a = (b2 - l21 * b1) / u22
+        d_c = (b1 - a12 * d_a) / a11
         step = 1.0
         cand = None
         for _ in range(fitting.GN_MAX_HALVINGS + 1):
-            cc = float(c + step * delta[0])
-            aa = float(a + step * delta[1])
+            cc = float(c + step * d_c)
+            aa = float(a + step * d_a)
             if cc > 0.0:
                 rr = float((weights * (y - cc * n**aa) ** 2).sum()) + ss_pure
                 if rr < rss:
@@ -753,14 +761,59 @@ class TestBatchedBootstrap:
         assert c.tolist() == [1.0, 1.0] and a.tolist() == [-400.0, -400.0]
         assert rss.tolist() == [(y[0] ** 2).sum(), (y[1] ** 2).sum()]
 
-    def test_a_singular_system_fails_only_its_own_row(self):
-        lhs = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 0.0], [0.0, 5.0]]])
-        rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]], [[8.0], [10.0]]])
-        delta, solved = fitting._solve_rows(lhs, rhs)
-        assert solved.tolist() == [True, False, True]
-        assert np.isnan(delta[1]).all()
-        for k in (0, 2):
-            assert delta[k].tolist() == np.linalg.solve(lhs[k], rhs[k, :, 0]).tolist()
+    def test_non_convergence_says_why_the_fit_stopped(self, monkeypatch):
+        ms = synth_curve(TestBootstrap.MODEL, SIZES, 5, 0.05, seed=3, metric="m")
+        with pytest.raises(NonConvergenceError, match=r"^Gauss-Newton stopped at iteration 1: the normal matrix is singular \(last rss ") as info:
+            fit_nonlinear(ms, init=make_fit(-400.0, 1.0))  # n**-400 underflows to 0
+        assert info.value.last_fit.iterations == 1
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", 2)
+        with pytest.raises(NonConvergenceError, match=r"^Gauss-Newton did not converge within 2 iterations \(last rss ") as info:
+            fit_nonlinear(ms, init=make_fit(-0.1, 1.0))
+        assert info.value.last_fit.iterations == 2
+
+    def test_normal_matrix_whose_determinant_underflows_is_solved(self):
+        # Counts 2**63 + 10**e start at c ~ 5.5e204, alpha ~ -10.8, where pp = sum (n**a)**2
+        # underflows to 0: pp*qq - pq**2 is 0, yet the pivoted elimination leads with pq, not 0.
+        rng = np.random.default_rng(12)
+        e = sorted(rng.choice(int(rng.integers(15, 19)) + 1, 8, replace=False).tolist())
+        assert e == [0, 2, 3, 10, 11, 12, 14, 16]
+        n = np.array([float(2**63 + 10**k) for k in e])
+        y = (0.3 * (1.0 + 0.05 * rng.standard_normal((len(n), 5)))).mean(axis=1)
+        a0, log_c0 = map(float, fitting._ols(np.log(n), np.log(y)))
+        c0 = math.exp(log_c0)
+        p = n**a0
+        q = c0 * p * np.log(n)
+        pp, pq, qq = float(p @ p), float(p @ q), float(q @ q)
+        assert pp == 0.0 and pq > 0.0 and pp * qq - pq * pq == 0.0
+        c, a, rss, iterations, converged = fitting._gauss_newton(n, y[None, :], c0, a0)
+        assert converged.tolist() == [True] and iterations.tolist() == [2]
+        assert (c[0], a[0], rss[0], iterations[0]) == reference_gauss_newton(n, y, c0, a0)[:4]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.integers(2, 200),
+    rows=st.integers(2, 30),
+    weighted=st.booleans(),
+    pure_per_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gauss_newton_solves_each_row_of_a_stack_as_it_would_alone(points, rows, weighted, pure_per_row, seed):
+    """Bit for bit, whatever the rows around it.  Row 0 sits exactly on the start, so no step
+    lowers its rss and it runs every halving."""
+    rng = np.random.default_rng(seed)
+    n = np.cumsum(rng.integers(1, 1000, points)).astype(float)
+    c0, a0 = 5.0, -0.4
+    truth = rng.uniform(0.5, 50.0, (rows, 1)) * n ** rng.uniform(-0.9, -0.1, (rows, 1))
+    y = truth * (1.0 + rng.choice([0.0, 0.01, 0.1, 0.5], (rows, 1)) * rng.standard_normal((rows, points)))
+    y[0] = c0 * n**a0
+    weights = rng.integers(1, 9, points).astype(float) if weighted else 1.0
+    pure = rng.uniform(0.0, 1.0, rows) if pure_per_row else 0.25
+    stacked = fitting._gauss_newton(n, y, c0, a0, weights, pure)
+    for i in range(rows):
+        alone = fitting._gauss_newton(n, y[i : i + 1], c0, a0, weights, pure[i] if pure_per_row else pure)
+        assert [v[i].item() for v in stacked] == [v[0].item() for v in alone]
+    assert (stacked[0][0], stacked[1][0], stacked[3][0], stacked[4][0]) == (c0, a0, 1, True)
 
 
 def per_value_fit(ms, n_min, method):
@@ -877,7 +930,8 @@ class TestNonlinearOracle:
 
 def reference_region(ms, plateau=None, r2_threshold=0.98):
     """detect_power_law_region as one fit_loglog per candidate suffix, the
-    loop it replaced; the scan on per-N means must match it bit for bit."""
+    loop it replaced; the co-moment pass must match it as
+    :func:`assert_region_matches` says, not bit for bit."""
     grid = ms.distinct_n()
     if len(grid) < 4:
         raise InsufficientDataError(f"need at least 4 distinct sample counts, found {len(grid)}")

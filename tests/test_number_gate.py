@@ -11,6 +11,10 @@ fits and both bootstrap methods on and off the per-N means, each as
 four windows per set).  The sha256 of all of it must equal ``DIGEST``.
 A change that moves a number on purpose bumps the artifact schema and
 records the new digest here, in the open.
+
+``PYTHONPATH=src python tests/test_number_gate.py OUT`` writes the lines
+behind the digest to ``OUT``, one per line (its sha256 is the digest), so
+the lines of two checkouts can be compared with ``diff``.
 """
 
 import dataclasses
@@ -32,7 +36,7 @@ from learncurve.artifacts import measurements_to_csv
 from learncurve.model import group_means, window
 
 SETS = 400
-DIGEST = "313b842a42d878839615678b19beec05ca213c89ad98d2c4e29e28aac79fdb79"
+DIGEST = "13fc5a4a1d74180dc14ea04e70dba6606b1f70d6b1d92e12f5f8de331796b318"
 
 
 def _hex(x) -> str:
@@ -117,12 +121,17 @@ def outcomes(seed: int, canonical: bool = False):
         yield _outcome(bootstrap_ci, sub, "nonlinear", lo, draws=6, seed=seed, on_means=on_means)
 
 
+def lines():
+    """Every line of the digest, set by set."""
+    for seed in range(SETS):
+        yield from outcomes(seed)
+
+
 def digest() -> str:
     h = hashlib.sha256()
-    for seed in range(SETS):
-        for line in outcomes(seed):
-            h.update(line.encode())
-            h.update(b"\n")
+    for line in lines():
+        h.update(line.encode())
+        h.update(b"\n")
     return h.hexdigest()
 
 
@@ -133,3 +142,10 @@ def test_every_recorded_number_is_unchanged():
 @pytest.mark.parametrize("seed", range(0, SETS, SETS // 50))
 def test_listing_order_changes_no_number(seed):
     assert list(outcomes(seed)) == list(outcomes(seed, canonical=True))
+
+
+if __name__ == "__main__":
+    import sys
+
+    with open(sys.argv[1], "w") as out:
+        out.writelines(line + "\n" for line in lines())

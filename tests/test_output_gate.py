@@ -21,7 +21,7 @@ from pathlib import Path
 from learncurve import artifacts
 from learncurve.cli import main
 
-DIGEST = "e8e81492b14edddbbbb53e2b92e05294a928b00736cda152fa6ac6ba418adc80"
+DIGEST = "ae368c1841de92204800dbcbaaca05a1b0cc8c8bb606ce9e2b4243996b460dc6"
 
 SYNTH = ["synth", "--replicates", "3", "--sigma", "0.05", "--metric", "top1_error"]
 TINY = "100,200,400,800,1600,3200,6400"
