@@ -347,6 +347,10 @@ def main(argv=None) -> int:
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, (NonConvergenceError, NoRegionError, NumericError)) else EXIT_DATA
+    except MemoryError as exc:  # an input too large for this machine, such as a huge --replicates
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import NumericError, ParameterError, check_seed, is_real
+from .errors import NumericError, ParameterError, check_integer, is_real
 
 LOGLOG = "loglog"
 NONLINEAR = "nonlinear"
@@ -68,13 +68,14 @@ class PowerLawFit:
         for name in ("alpha", "c", "rss"):
             if not is_real(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.c > 0:
+        if not is_real(self.c, math.nextafter(0.0, 1.0)):
             raise ParameterError(f"fitted c must be positive, got {self.c}")
         if self.method not in (LOGLOG, NONLINEAR):
             raise ParameterError(f"method must be {LOGLOG!r} or {NONLINEAR!r}, got {self.method!r}")
-        if not (len(self.n_range) == 2 and check_seed(self.n_range[0], "n_range") < check_seed(self.n_range[1], "n_range")):
-            raise ParameterError(f"n_range must be an increasing pair, got {self.n_range!r}")
-        if self.rss < 0:
+        n_range = self.n_range
+        if not (len(n_range) == 2 and check_integer(n_range[0], "n_range", 0) < check_integer(n_range[1], "n_range", 0)):
+            raise ParameterError(f"n_range must be an increasing pair, got {n_range!r}")
+        if not is_real(self.rss, 0.0):
             raise ParameterError(f"rss must be non-negative, got {self.rss}")
         if self.r_squared is not None and not is_real(self.r_squared, 0.0, 1.0):
             raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
@@ -83,7 +84,7 @@ class PowerLawFit:
             raise ParameterError(f"ci_alpha must be a finite (lo, hi) with lo <= hi, got {ci!r}")
         for name in ("iterations", "draws_failed"):
             if getattr(self, name) is not None:
-                check_seed(getattr(self, name), name)
+                check_integer(getattr(self, name), name, 0)
 
     def predict(self, n: float) -> float:
         return finite(self.c * float_power(n, self.alpha), f"the prediction c * N**alpha at N={n!r}")
@@ -105,11 +106,11 @@ class RegionSegmentation:
     diagnostics: Mapping[int, float | None]
 
     def __post_init__(self):
-        check_seed(self.n_start_power_law, "n_start_power_law")
+        check_integer(self.n_start_power_law, "n_start_power_law", 0)
         if self.n_end_power_law is not None:
-            check_seed(self.n_end_power_law, "n_end_power_law")
+            check_integer(self.n_end_power_law, "n_end_power_law", 0)
         for n, r_squared in self.diagnostics.items():
-            check_seed(n, "candidate_n")
+            check_integer(n, "candidate_n", 0)
             if r_squared is not None and not is_real(r_squared, 0.0, 1.0):
                 raise ParameterError(f"r_squared at candidate {n} must be None or lie in [0, 1], got {r_squared!r}")
         if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:

@@ -1,6 +1,5 @@
-"""Exception hierarchy shared across the toolkit, and its integer and real-number rules."""
+"""Exception hierarchy shared across the toolkit, and its integer, sizes and real-number rules."""
 
-import math
 import operator
 import sys
 
@@ -54,47 +53,46 @@ class ParallelCurvesError(ParameterError):
     """Two power laws have numerically equal exponents and never cross."""
 
 
-def is_integer(x) -> bool:
-    """Whether ``x`` is an integer: anything ``operator.index`` accepts (numpy integers too),
-    but no bool."""
-    if isinstance(x, bool):
-        return False
+FLOAT_MAX = sys.float_info.max
+
+
+def check_integer(value, name: str, lo=None, hi=None) -> int:
+    """``value`` as a Python int: anything ``operator.index`` takes (numpy integers too), but no
+    bool, within the optional bounds [lo, hi].  Otherwise a ParameterError naming the field
+    ``name``: ``{name} must be a non-negative integer, got {value!r}`` for a wrong type or, where
+    ``lo`` is 0, a negative value; ``{name} must be >= {lo}`` or ``<= {hi}`` for another bound."""
     try:
-        operator.index(x)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        return False
-    return True
+        number = None
+    if number is None or lo == 0 and number < 0:
+        raise ParameterError(f"{name} must be a non-negative integer, got {value if number is None else number!r}")
+    if lo is not None and number < lo:
+        raise ParameterError(f"{name} must be >= {lo}, got {number!r}")
+    if hi is not None and number > hi:
+        raise ParameterError(f"{name} must be <= {hi}, got {number!r}")
+    return number
 
 
-def check_integer(value, name: str) -> int:
-    """``value`` as a Python int; ParameterError naming the field ``name`` unless it is an
-    integer (see :func:`is_integer`).  Callers run it before any sign rule, so a wrong type
-    never meets a comparison."""
-    if is_integer(value):
-        return operator.index(value)
-    raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+def check_sizes(sizes) -> tuple[int, ...]:
+    """``sizes`` as a tuple of Python ints: non-empty, each an integer >= 1 (see
+    :func:`check_integer`), strictly increasing.  ParameterError otherwise."""
+    sizes = tuple(check_integer(s, "sizes", 1) for s in sizes)
+    if not sizes:
+        raise ParameterError("sizes must be non-empty")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(f"sizes must be strictly increasing, got {list(sizes)}")
+    return sizes
 
 
-def check_seed(seed, name: str = "seed") -> int:
-    """``seed`` as a Python int; ParameterError naming the field ``name`` unless it is a
-    non-negative integer (see :func:`check_integer`)."""
-    value = check_integer(seed, name)
-    if value < 0:
-        raise ParameterError(f"{name} must be a non-negative integer, got {seed!r}")
-    return value
-
-
-def is_real(x, lo=-math.inf, hi=math.inf) -> bool:
-    """Whether ``x`` is a real number in [lo, hi]: an int or a float, but no bool, and within the
-    float range (so finite)."""
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and lo <= x <= hi
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def is_number(x) -> bool:
-    """Whether ``x`` is an integer within the float range (see :func:`is_integer`) or a float, nan
-    and inf included: a value that compares with the bounds its own rule then sets, and converts
-    to a float."""
-    return isinstance(x, float) or is_integer(x) and abs(operator.index(x)) <= sys.float_info.max
+def is_real(x, lo=-FLOAT_MAX, hi=FLOAT_MAX) -> bool:
+    """Whether ``x`` is a real number in [lo, hi]: a float, or an integer (see
+    :func:`check_integer`) within the float range.  The default bounds are the float range, so
+    ``x`` is finite unless a bound is infinite; nan never passes.  An open bound is the next float
+    inside it: ``lo=math.nextafter(0.0, 1.0)`` takes exactly the values > 0."""
+    if not isinstance(x, float):
+        try:
+            x = check_integer(x, "x", -FLOAT_MAX, FLOAT_MAX)
+        except ParameterError:
+            return False
+    return lo <= x <= hi

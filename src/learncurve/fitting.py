@@ -36,7 +36,6 @@ from .errors import (
     NumericError,
     ParameterError,
     check_integer,
-    check_seed,
     is_real,
 )
 from .model import Groups, MeasurementSet, group_by_n, reduce_groups, require_finite, window
@@ -427,14 +426,10 @@ def bootstrap_ci(
     """
     if method not in (LOGLOG, NONLINEAR):
         raise ParameterError(f"unknown fit method {method!r}")
-    draws = check_integer(draws, "draws")
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
-    if draws > MAX_DRAWS:
-        raise ParameterError(f"draws must be <= {MAX_DRAWS}, got {draws!r}")
-    if not (is_real(confidence) and 0.0 < confidence < 1.0):
+    draws = check_integer(draws, "draws", 1, MAX_DRAWS)
+    if not is_real(confidence, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)):
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
-    seed = check_seed(seed)
+    seed = check_integer(seed, "seed", 0)
 
     base = (fit_loglog if method == LOGLOG else fit_nonlinear)(ms, n_min, n_max, on_means=on_means)
 

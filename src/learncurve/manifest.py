@@ -18,6 +18,7 @@ prefix of every class; :class:`ImageRecord` objects are made only on reading.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -27,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, ParameterError, check_integer, check_seed, is_real
+from .errors import DataError, ParameterError, check_integer, check_sizes, is_real
 
 _HASH_PERSON = b"lc.manifest"
 
@@ -71,8 +72,7 @@ class ImageRecord:
             raise ParameterError(f"noise_flag must mirror a label change (image {self.image_id!r})")
         if not isinstance(self.noise_flag, (bool, np.bool_)):
             raise ParameterError(f"noise_flag must be a bool, got {self.noise_flag!r} (image {self.image_id!r})")
-        if check_integer(self.class_rank, "class_rank") < 0:
-            raise ParameterError(f"class_rank must be >= 0, got {self.class_rank}")
+        check_integer(self.class_rank, "class_rank", 0)
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(ImageRecord))
@@ -179,7 +179,7 @@ class SubsetManifest:
     diagnostics: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
         records = self.records
         trusted = isinstance(records, ManifestRecords) and records.classes == tuple(self.classes)
         if not trusted:
@@ -190,14 +190,7 @@ class SubsetManifest:
             raise ParameterError("manifest needs at least one class")
         if len(set(self.classes)) != k:
             raise ParameterError("class names must be unique")
-        if not self.sizes:
-            raise ParameterError("sizes must be non-empty")
-        for s in self.sizes:
-            check_integer(s, "sizes")
-        if any(s < 1 for s in self.sizes):
-            raise ParameterError("subset sizes must be positive")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ParameterError(f"sizes must be strictly increasing, got {self.sizes}")
+        object.__setattr__(self, "sizes", check_sizes(self.sizes))
         for s in self.sizes:
             if s % k != 0:
                 raise ParameterError(f"subset size {s} is not divisible by {k} classes")
@@ -214,7 +207,7 @@ class SubsetManifest:
                 f"class count {min(records.counts)}"
             )
         for n in self.diagnostics.values():
-            check_seed(n, "diagnostics")
+            check_integer(n, "diagnostics", 0)
         object.__setattr__(self, "records", records)
 
     def _checked(self, ids: list, true: list, assigned: list, _, ranks: list) -> ManifestRecords:
@@ -350,8 +343,8 @@ def build_nested_subsets(
     ranks within the deepest subset are kept from sharing a group on a
     best-effort basis (same-plant-same-day images should not line up).
     """
-    seed = check_seed(seed)
-    sizes = tuple(check_integer(s, "sizes") for s in sizes)
+    seed = check_integer(seed, "seed", 0)
+    sizes = check_sizes(sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
     row_class: list[str] = []  # each row's class, in row order
@@ -374,7 +367,7 @@ def build_nested_subsets(
 
     classes = tuple(_sorted(by_class, "class", enumerate(row_class)))
     k = len(classes)
-    depth = max(sizes, default=0) // k  # SubsetManifest holds the size rules
+    depth = max(sizes) // k
     for cls in classes:
         if len(by_class[cls]) < depth:
             raise DataError(
@@ -413,7 +406,7 @@ def inject_label_noise(m: SubsetManifest, p: float, seed: int) -> SubsetManifest
     """
     if not is_real(p, 0.0, 1.0):
         raise ParameterError(f"noise probability must lie in [0, 1], got {p!r}")
-    seed = check_seed(seed)
+    seed = check_integer(seed, "seed", 0)
     if m.n_classes < 2:
         raise ParameterError("need at least 2 classes to pick a wrong label")
 
@@ -445,9 +438,9 @@ def holdout_split(
     sorted lexicographically.
     """
     depth = m._depth(size)
-    if not (is_real(fraction) and 0.0 < fraction < 1.0):
+    if not is_real(fraction, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)):
         raise ParameterError(f"holdout fraction must lie in (0, 1), got {fraction!r}")
-    seed = check_seed(seed)
+    seed = check_integer(seed, "seed", 0)
 
     k = m.n_classes
     val_total = round(fraction * size)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import float_power
 from .errors import DataError, InsufficientDataError, NumericError, ParameterError
-from .errors import check_integer, check_seed, is_integer, is_number, is_real
+from .errors import FLOAT_MAX, check_integer, check_sizes, is_real
 
 TOP1_ERROR = "top1_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -53,14 +53,11 @@ class ThreePhaseModel:
 
     def __post_init__(self):
         for name in ("alpha", "c", "plateau", "floor"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite")
-            if not is_real(value):
-                raise ParameterError(f"{name} must be a finite real number, got {value!r}")
-        if not -1.0 < self.alpha < 0.0:
+            if not is_real(getattr(self, name)):
+                raise ParameterError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
+        if not is_real(self.alpha, math.nextafter(-1.0, 0.0), math.nextafter(0.0, -1.0)):
             raise ParameterError(f"alpha must lie in (-1, 0), got {self.alpha}")
-        if not self.c > 0.0:
+        if not is_real(self.c, math.nextafter(0.0, 1.0)):
             raise ParameterError(f"c must be positive, got {self.c}")
         if not self.plateau > self.floor >= 0.0:
             raise ParameterError(
@@ -69,7 +66,7 @@ class ThreePhaseModel:
 
     def evaluate(self, n: float) -> float:
         """Loss at sample count ``n`` (clamped power law)."""
-        if not (is_number(n) and n >= 1):
+        if not is_real(n, 1, math.inf):
             raise ParameterError(f"sample count must be >= 1, got {n!r}")
         return min(max(self.c * float_power(n, self.alpha), self.floor), self.plateau)
 
@@ -80,9 +77,7 @@ def random_guess_plateau(metric: str, n_classes: int) -> float:
     Top-1 error: ``1 - 1/k``.  Cross-entropy: ``ln k``; this is a modeling
     default for balanced classes, not a measured quantity.
     """
-    if isinstance(n_classes, bool) or is_number(n_classes) and n_classes < 2:
-        raise ParameterError(f"need at least 2 classes, got {n_classes}")
-    check_integer(n_classes, "n_classes")  # 2.5, nan or inf classes are no class count
+    check_integer(n_classes, "n_classes", 2, FLOAT_MAX)
     if metric == TOP1_ERROR:
         return 1.0 - 1.0 / n_classes
     if metric == CROSS_ENTROPY:
@@ -271,7 +266,7 @@ def window(ms: MeasurementSet, n_min=None, n_max=None) -> tuple[MeasurementSet, 
     if len(metrics) != 1:
         raise ParameterError(f"expected a single metric, got {metrics}; use only()")
     for name, bound in (("n_min", n_min), ("n_max", n_max)):
-        if not (bound is None or is_real(bound) or is_integer(bound)):
+        if not (bound is None or is_real(bound)):
             raise ParameterError(f"{name} must be None or a finite real number, got {bound!r}")
     keep = (n_min is None or ms.n >= n_min) & (n_max is None or ms.n <= n_max)
     sub = ms if np.all(keep) else ms._take(keep)
@@ -325,21 +320,14 @@ def synth_curve(
     ``noise_sigma=0`` the values equal the model exactly.  A fixed
     (seed, inputs) pair always yields a bit-identical set: points are
     generated in canonical (ascending N, ascending replicate) order.
-    Sizes and ``replicates`` must be integers (numpy integers too, no bools).
+    Sizes and ``replicates`` must be integers (numpy integers too, no bools), and
+    ``replicates * len(sizes)`` at most ``sys.maxsize``.
     """
-    sizes = [check_integer(s, "sizes") for s in sizes]
-    if not sizes:
-        raise ParameterError("sizes must be non-empty")
-    if any(s < 1 for s in sizes):
-        raise ParameterError("sizes must be >= 1")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError(f"sizes must be strictly increasing, got {sizes}")
-    replicates = check_integer(replicates, "replicates")
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if not (is_number(noise_sigma) and 0 <= noise_sigma < math.inf):
+    sizes = check_sizes(sizes)
+    replicates = check_integer(replicates, "replicates", 1, sys.maxsize // len(sizes))  # the points fit one intp array
+    if not is_real(noise_sigma, 0):
         raise ParameterError(f"noise_sigma must be a finite float >= 0, got {noise_sigma!r}")
-    seed = check_seed(seed)
+    seed = check_integer(seed, "seed", 0)
 
     values = np.repeat([model.evaluate(n) for n in sizes], replicates)
     if noise_sigma != 0.0:

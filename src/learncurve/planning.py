@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import PowerLawFit, finite, float_power
-from .errors import NumericError, ParallelCurvesError, ParameterError, check_integer, is_number
+from .errors import NumericError, ParallelCurvesError, ParameterError, check_integer, is_real
 
 # Tolerance for snapping an analytically integral sample size back onto
 # the integer before taking the ceiling.
@@ -67,9 +67,7 @@ class NoiseImpactReport:
 
 def extrapolate(fit: PowerLawFit, n: int) -> LossPrediction:
     """Evaluate the fitted curve at the integer sample count ``n``, marking extrapolation beyond n_range."""
-    n = check_integer(n, "sample count")
-    if not n >= 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
+    n = check_integer(n, "sample count", 1)
     value = fit.predict(n)
     outside = not (fit.n_range[0] <= n <= fit.n_range[1])
     return LossPrediction(n=n, value=value, extrapolated=outside)
@@ -82,7 +80,7 @@ def _require_decreasing(fit: PowerLawFit, label: str = "fitted") -> None:
 
 def _sample_size(fit: PowerLawFit, target_loss: float) -> float:
     """The real N at which the fit reaches ``target_loss``: ``(target / c) ** (1 / alpha)``."""
-    if not (is_number(target_loss) and target_loss > 0):
+    if not is_real(target_loss, math.nextafter(0.0, 1.0), math.inf):
         raise ParameterError(f"target loss must be positive, got {target_loss!r}")
     return float_power(target_loss / fit.c, 1.0 / fit.alpha)
 

@@ -5,7 +5,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -393,6 +397,29 @@ class TestFailureModes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_replicates_beyond_one_array_are_a_parameter_error(self, tmp_path, capsys):
+        argv = synth_args(tmp_path / "d.csv")
+        argv[argv.index("--replicates") + 1] = str(2**64)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"error: replicates must be <= {sys.maxsize // 7}, got {2**64}\n"
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        """10**11 replicates fit one array's index but not memory.  The CLI runs in a subprocess whose
+        address space is capped at 2 GB, so the refused allocation never touches this process."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+        argv = synth_args(tmp_path / "d.csv")
+        argv[argv.index("--replicates") + 1] = str(10**11)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "learncurve.cli", *argv], env=env, preexec_fn=cap,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate "), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestReproducibility:

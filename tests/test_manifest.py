@@ -119,20 +119,21 @@ class TestBuild:
         with pytest.raises(ParameterError, match=f"^sizes must be a non-negative integer, got {re.escape(shown)}$"):
             build_nested_subsets(make_pool(2, 10), sizes, seed=1)
 
-    # SubsetManifest holds the size rules, so an image error comes first.
+    # The sizes rule runs first, as the seed rule does; divisibility, a rule of the classes, comes after the images.
     @pytest.mark.parametrize("pool, sizes, error, message", [
-        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [30, 6], DataError,
-         "duplicate image id 'img_00_0000'"),
-        ([], [30, 6], DataError, "no images supplied"),
-        (make_pool(3, 5), [30, 6], DataError,
-         "class 'class0' has only 5 images; the largest subset needs 10 per class"),
+        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [30, 6], ParameterError,
+         "sizes must be strictly increasing, got [30, 6]"),
+        ([], [30, 6], ParameterError, "sizes must be strictly increasing, got [30, 6]"),
+        ([], [], ParameterError, "sizes must be non-empty"),
+        (make_pool(3, 5), [30, 6], ParameterError, "sizes must be strictly increasing, got [30, 6]"),
         (make_pool(2, 5), [13], DataError,
          "class 'class0' has only 5 images; the largest subset needs 6 per class"),
-        (make_pool(3, 40), [30, 6], ParameterError, "sizes must be strictly increasing, got (30, 6)"),
-        (make_pool(2, 5), [-3], ParameterError, "subset sizes must be positive"),
-    ], ids=["duplicate-id", "no-images", "small-class-unsorted", "small-class-indivisible",
-            "sizes-as-tuple", "negative-indivisible"])
-    def test_size_rules_come_after_the_image_rules(self, pool, sizes, error, message):
+        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [13], DataError, "duplicate image id 'img_00_0000'"),
+        (make_pool(3, 40), (30, 6), ParameterError, "sizes must be strictly increasing, got [30, 6]"),
+        (make_pool(2, 5), [-3], ParameterError, "sizes must be >= 1, got -3"),
+    ], ids=["duplicate-id", "no-images", "no-sizes", "small-class-unsorted", "small-class-indivisible",
+            "duplicate-id-indivisible", "sizes-as-tuple", "negative-indivisible"])
+    def test_size_rules_come_before_the_image_rules(self, pool, sizes, error, message):
         with pytest.raises(error) as info:
             build_nested_subsets(pool, sizes, seed=1)
         assert str(info.value) == message
@@ -336,7 +337,8 @@ class TestRecordAndManifestValidation:
         ("0", "class_rank must be a non-negative integer, got '0'"),
         (None, "class_rank must be a non-negative integer, got None"),
         (-1.5, "class_rank must be a non-negative integer, got -1.5"),
-        (-1, "class_rank must be >= 0, got -1"),
+        (-1, "class_rank must be a non-negative integer, got -1"),
+        (np.int64(-1), "class_rank must be a non-negative integer, got -1"),
     ])
     def test_rank_type_rule_runs_before_its_sign_rule(self, rank, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -346,7 +348,7 @@ class TestRecordAndManifestValidation:
         ("sizes", ("2",), "sizes must be a non-negative integer, got '2'"),
         ("sizes", (None,), "sizes must be a non-negative integer, got None"),
         ("sizes", (4.0, 2), "sizes must be a non-negative integer, got 4.0"),
-        ("sizes", (-1,), "subset sizes must be positive"),
+        ("sizes", (-1,), "sizes must be >= 1, got -1"),
         ("per_class_pool", "2", "per_class_pool must be a non-negative integer, got '2'"),
         ("per_class_pool", None, "per_class_pool must be a non-negative integer, got None"),
         ("per_class_pool", -1, "largest subset needs 2 images per class, pool depth is -1"),
@@ -625,7 +627,7 @@ class TestColumns:
         d = manifest_to_dict(m)
         d["records"][4]["noise_flag"] = True
         d["records"][2]["class_rank"] = -1
-        with pytest.raises(ParameterError, match=r"class_rank must be >= 0, got -1"):
+        with pytest.raises(ParameterError, match=r"class_rank must be a non-negative integer, got -1"):
             manifest_from_dict(d)
         d["records"][1]["noise_flag"] = True
         with pytest.raises(ParameterError, match=f"noise_flag must mirror a label change \\(image '{d['records'][1]['image_id']}'\\)"):

@@ -11,7 +11,8 @@ document rule, so the gate also pins which rule wins.  For each document
 the test records what ``manifest_from_dict`` raises (type and message), or,
 when it loads, the loaded columns.  The sha256 of all of it must equal
 ``DIGEST``: a change that refuses bad manifests otherwise records the new
-digest here, in the open.
+digest here, in the open.  ``python tests/test_manifest_gate.py OUT`` writes
+the outcomes one per line, so two checkouts can be compared with ``diff``.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ import numpy as np
 from learncurve.artifacts import manifest_from_dict
 
 DOCS = 4000
-DIGEST = "18a8dab0c3d59b854c1929cf6dcc1a5d7995798285499e78304dde9090381bfb"
+DIGEST = "dd1e6d69165e5c4abb352ee59e7372e91241398fd274e881d0c8940bfdfdd532"
 FIELDS = ("image_id", "true_label", "assigned_label", "noise_flag", "class_rank")
 CLASS_NAMES = ["a", "b", "c", "d"]
 
@@ -121,3 +122,10 @@ def digest() -> str:
 
 def test_every_manifest_refusal_is_unchanged():
     assert digest() == DIGEST
+
+
+if __name__ == "__main__":
+    import sys
+
+    with open(sys.argv[1], "w") as out:
+        out.writelines(outcome(seed) + "\n" for seed in range(DOCS))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -396,7 +397,7 @@ class TestSynthCurve:
             synth_curve(self.MODEL, [], 5, 0.0, seed=1)
 
     def test_size_below_one_rejected(self):
-        with pytest.raises(ParameterError, match="^sizes must be >= 1$"):
+        with pytest.raises(ParameterError, match="^sizes must be >= 1, got 0$"):
             synth_curve(self.MODEL, [0, 10], 5, 0.0, seed=1)
 
     def test_unsorted_sizes_rejected(self):
@@ -411,9 +412,11 @@ class TestSynthCurve:
          ([None], 2, "sizes must be a non-negative integer, got None"),
          ([10, 20], 2.5, "replicates must be a non-negative integer, got 2.5"),
          ([10, 20], True, "replicates must be a non-negative integer, got True"),
-         ([-1, 20], 2, "sizes must be >= 1"),
+         ([-1, 20], 2, "sizes must be >= 1, got -1"),
          ([20, 10], 2, r"sizes must be strictly increasing, got \[20, 10\]"),
-         ([10, 20], -1, "replicates must be >= 1, got -1")],
+         ([10, 20], -1, "replicates must be >= 1, got -1"),
+         ([10, 20], 2**64, f"replicates must be <= {sys.maxsize // 2}, got {2**64}"),
+         ([10, 20, 40], np.int64(sys.maxsize // 3 + 1), f"replicates must be <= {sys.maxsize // 3}, got {sys.maxsize // 3 + 1}")],
     )
     def test_sizes_and_replicates_must_be_integers(self, sizes, replicates, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):

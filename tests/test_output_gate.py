@@ -11,11 +11,14 @@ and its stderr.  Then every file written contributes its name and the
 sha256 of its bytes.  ``created_at`` is blanked through
 ``artifacts.CREATED_AT`` in files and stdout alike.  The sha256 of all of it must equal ``DIGEST``.
 A change that moves an output byte on purpose records the new digest here,
-in the open, and names the files whose bytes moved (``lines`` lists them
-one by one).
+in the open, and names the files whose bytes moved:
+``python tests/test_output_gate.py OUT`` writes the lines one per line, so
+two checkouts can be compared with ``diff``.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from learncurve import artifacts
@@ -71,7 +74,7 @@ STEPS = [
 ]
 
 
-def lines(directory: Path, capsys) -> list[str]:
+def lines(directory: Path) -> list[str]:
     """Run the battery in ``directory`` (the working directory): one line per step, then
     one per file written."""
     (directory / "images.csv").write_text(
@@ -83,21 +86,36 @@ def lines(directory: Path, capsys) -> list[str]:
     )
     out = []
     for argv in STEPS:
-        code = main(argv)
-        captured = capsys.readouterr()
-        stdout = artifacts.CREATED_AT.sub(b"", captured.out.encode()).decode()
-        out.append(f"{' '.join(argv)} -> {code} {stdout!r} {captured.err!r}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        shown = artifacts.CREATED_AT.sub(b"", stdout.getvalue().encode()).decode()
+        out.append(f"{' '.join(argv)} -> {code} {shown!r} {stderr.getvalue()!r}")
     for path in sorted(directory.iterdir()):
         data = artifacts.CREATED_AT.sub(b"", path.read_bytes())
         out.append(f"{path.name} {hashlib.sha256(data).hexdigest()}")
     return out
 
 
-def test_every_output_byte_is_unchanged(tmp_path, capsys, monkeypatch):
+def test_every_output_byte_is_unchanged(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal width
     h = hashlib.sha256()
-    for line in lines(tmp_path, capsys):
+    for line in lines(tmp_path):
         h.update(line.encode())
         h.update(b"\n")
     assert h.hexdigest() == DIGEST
+
+
+if __name__ == "__main__":
+    import os
+    import sys
+    import tempfile
+
+    target, home = Path(sys.argv[1]).resolve(), os.getcwd()
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        text = "".join(line + "\n" for line in lines(Path(directory)))
+        os.chdir(home)
+    target.write_text(text)

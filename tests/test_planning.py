@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -233,7 +234,10 @@ def _model(**fields):
     (lambda: _model(alpha="x"), "alpha must be a finite real number, got 'x'"),
     (lambda: _model(c=None), "c must be a finite real number, got None"),
     (lambda: _model(plateau=-(2**2000)), f"plateau must be a finite real number, got {-(2**2000)}"),
-    (lambda: _model(floor=math.nan), "floor must be finite"),
+    (lambda: _model(floor=math.nan), "floor must be a finite real number, got nan"),
+    (lambda: _model(alpha=np.float64(math.inf)), "alpha must be a finite real number, got np.float64(inf)"),
+    (lambda: _model(alpha=np.int64(-1)), "alpha must lie in (-1, 0), got -1"),
+    (lambda: _model(c=0), "c must be positive, got 0"),
     (lambda: _model(alpha=0.5), "alpha must lie in (-1, 0), got 0.5"),
     (lambda: MODEL.evaluate(None), "sample count must be >= 1, got None"),
     (lambda: MODEL.evaluate(math.nan), "sample count must be >= 1, got nan"),
@@ -249,8 +253,10 @@ def _model(**fields):
     (lambda: synth_curve(MODEL, [16], 2, np.int64(0), seed=1).value.tolist(), [0.25, 0.25]),
     (lambda: random_guess_plateau(TOP1_ERROR, None), "n_classes must be a non-negative integer, got None"),
     (lambda: random_guess_plateau(TOP1_ERROR, 2.5), "n_classes must be a non-negative integer, got 2.5"),
-    (lambda: random_guess_plateau(TOP1_ERROR, 1.5), "need at least 2 classes, got 1.5"),
-    (lambda: random_guess_plateau(TOP1_ERROR, True), "need at least 2 classes, got True"),
+    (lambda: random_guess_plateau(TOP1_ERROR, 1.5), "n_classes must be a non-negative integer, got 1.5"),
+    (lambda: random_guess_plateau(TOP1_ERROR, True), "n_classes must be a non-negative integer, got True"),
+    (lambda: random_guess_plateau(TOP1_ERROR, 1), "n_classes must be >= 2, got 1"),
+    (lambda: random_guess_plateau(TOP1_ERROR, 2**2000), f"n_classes must be <= {sys.float_info.max}, got {2**2000}"),
     (lambda: random_guess_plateau(TOP1_ERROR, np.int64(4)), 0.75),
     (lambda: required_sample_size(FIT, None), "target loss must be positive, got None"),
     (lambda: required_sample_size(FIT, "0.1"), "target loss must be positive, got '0.1'"),
@@ -264,7 +270,7 @@ def _model(**fields):
 ], ids=lambda v: str(v)[:48] if not callable(v) else "")
 def test_scalar_arguments_go_through_the_rule_homes(call, expected):
     """A scalar argument of the model and planning functions meets its rule home (``errors.is_real``,
-    ``errors.is_number``, ``errors.check_integer``) before use: a refused value (``expected`` a
+    ``errors.check_integer``) before use: a refused value (``expected`` a
     message) raises ParameterError, and an accepted number keeps its answer."""
     if not isinstance(expected, str):
         assert call() == expected
