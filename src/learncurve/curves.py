@@ -10,6 +10,7 @@ they start without importing numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -24,6 +25,12 @@ def finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise NumericError(f"floating-point overflow: {what} leaves the float range")
     return value
+
+
+def plain(value):
+    """``value``, with a numpy integer (which :func:`~learncurve.errors.is_real` takes) made a
+    Python int.  The types store what this returns, so every field they hold writes to JSON."""
+    return value if value is None or isinstance(value, (int, float)) else operator.index(value)
 
 
 def float_power(base: float, exponent: float) -> float:
@@ -85,6 +92,11 @@ class PowerLawFit:
         for name in ("iterations", "draws_failed"):
             if getattr(self, name) is not None:
                 check_integer(getattr(self, name), name, 0)
+        for name in ("alpha", "c", "rss", "r_squared", "iterations", "draws_failed"):
+            object.__setattr__(self, name, plain(getattr(self, name)))
+        for name in ("n_range", "ci_alpha"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(plain, getattr(self, name))))
 
     def predict(self, n: float) -> float:
         return finite(self.c * float_power(n, self.alpha), f"the prediction c * N**alpha at N={n!r}")
@@ -115,6 +127,9 @@ class RegionSegmentation:
                 raise ParameterError(f"r_squared at candidate {n} must be None or lie in [0, 1], got {r_squared!r}")
         if self.n_end_power_law is not None and self.n_start_power_law > self.n_end_power_law:
             raise ParameterError("region start must not exceed region end")
+        for name in ("n_start_power_law", "n_end_power_law"):
+            object.__setattr__(self, name, plain(getattr(self, name)))
+        object.__setattr__(self, "diagnostics", {plain(n): plain(r2) for n, r2 in self.diagnostics.items()})
 
 
 class Discrepancy(NamedTuple):

@@ -194,7 +194,8 @@ class SubsetManifest:
         for s in self.sizes:
             if s % k != 0:
                 raise ParameterError(f"subset size {s} is not divisible by {k} classes")
-        if max(self.sizes) // k > check_integer(self.per_class_pool, "per_class_pool"):
+        object.__setattr__(self, "per_class_pool", check_integer(self.per_class_pool, "per_class_pool"))
+        if max(self.sizes) // k > self.per_class_pool:
             raise ParameterError(
                 f"largest subset needs {max(self.sizes) // k} images per class, "
                 f"pool depth is {self.per_class_pool}"
@@ -206,8 +207,7 @@ class SubsetManifest:
                 f"per_class_pool={self.per_class_pool} does not match the smallest "
                 f"class count {min(records.counts)}"
             )
-        for n in self.diagnostics.values():
-            check_integer(n, "diagnostics", 0)
+        object.__setattr__(self, "diagnostics", {c: check_integer(n, "diagnostics", 0) for c, n in self.diagnostics.items()})
         object.__setattr__(self, "records", records)
 
     def _checked(self, ids: list, true: list, assigned: list, _, ranks: list) -> ManifestRecords:
@@ -344,7 +344,7 @@ def build_nested_subsets(
     best-effort basis (same-plant-same-day images should not line up).
     """
     seed = check_integer(seed, "seed", 0)
-    sizes = check_sizes(sizes)
+    sizes = tuple(check_integer(s, "sizes") for s in sizes)
     by_class: dict[str, list[tuple[str, str | None]]] = {}
     seen_ids = set()
     row_class: list[str] = []  # each row's class, in row order
@@ -367,7 +367,7 @@ def build_nested_subsets(
 
     classes = tuple(_sorted(by_class, "class", enumerate(row_class)))
     k = len(classes)
-    depth = max(sizes) // k
+    depth = max(sizes, default=0) // k  # SubsetManifest holds the size rules
     for cls in classes:
         if len(by_class[cls]) < depth:
             raise DataError(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import float_power
+from .curves import float_power, plain
 from .errors import DataError, InsufficientDataError, NumericError, ParameterError
 from .errors import FLOAT_MAX, check_integer, check_sizes, is_real
 
@@ -63,6 +63,8 @@ class ThreePhaseModel:
             raise ParameterError(
                 f"need plateau > floor >= 0, got plateau={self.plateau}, floor={self.floor}"
             )
+        for name in ("alpha", "c", "plateau", "floor"):
+            object.__setattr__(self, name, plain(getattr(self, name)))
 
     def evaluate(self, n: float) -> float:
         """Loss at sample count ``n`` (clamped power law)."""

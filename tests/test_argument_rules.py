@@ -27,8 +27,10 @@ import pytest
 
 import learncurve
 from learncurve import (
-    PowerLawFit, SubsetManifest, ThreePhaseModel, ToolkitError, build_nested_subsets, fit_loglog, synth_curve,
+    PowerLawFit, RegionSegmentation, SubsetManifest, ThreePhaseModel, ToolkitError, build_nested_subsets, fit_loglog,
+    synth_curve,
 )
+from learncurve.artifacts import FitArtifact, manifest_to_dict, region_to_dict, write_json
 
 POOL = (None, True, "1", math.nan, math.inf, -math.inf, -1, 0, 1j, 2**64, 2**2000, -(2**2000),
         np.int64(3), np.float64(math.nan))
@@ -141,3 +143,30 @@ def test_the_walk_finds_scalars_and_sequence_elements():
     assert numeric_parameters(PowerLawFit)["ci_alpha"] == "element"
     assert "multipliers" not in numeric_parameters(learncurve.NoiseImpactReport)
     assert numeric_parameters(SubsetManifest)["per_class_pool"] == "scalar"
+
+
+# Each artifact built with its integer fields as ``ints`` of every integer: Python int or numpy int64.
+DOCUMENTS = {
+    "fit": lambda ints: FitArtifact.from_fit(PowerLawFit(**dict(
+        FIT_FIELDS, c=ints(2), n_range=(ints(10), ints(160)), rss=ints(0), r_squared=ints(1),
+        ci_alpha=(ints(-1), ints(0)), iterations=ints(3), draws_failed=ints(0))), "m", "0" * 64, {}).to_dict(),
+    "region": lambda ints: region_to_dict(RegionSegmentation(ints(20), ints(80), {ints(20): ints(1)}), "m", "0" * 64, {}),
+    "manifest": lambda ints: manifest_to_dict(SubsetManifest(**dict(
+        vars(MANIFEST), per_class_pool=ints(6), seed=ints(1), diagnostics={"c0": ints(0)}))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_a_numpy_integer_is_stored_as_a_python_int(tmp_path, name):
+    """The rules take numpy integers, and the types store each as a Python int, so an artifact
+    writes the same JSON from either."""
+    for ints in (int, np.int64):
+        document = DOCUMENTS[name](ints)
+        document.pop("created_at", None)
+        write_json(document, tmp_path / f"{ints.__name__}.json")
+    assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
+
+def test_a_model_stores_numpy_integers_as_python_ints():
+    model = ThreePhaseModel(alpha=-0.5, c=np.int64(2), plateau=np.int64(3), floor=np.int64(0))
+    assert [type(getattr(model, name)) for name in ("c", "plateau", "floor")] == [int, int, int]

@@ -413,7 +413,9 @@ class TestFailureModes:
 
         argv = synth_args(tmp_path / "d.csv")
         argv[argv.index("--replicates") + 1] = str(10**11)
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        # One BLAS thread, so the cap limits the refused allocation and not the buffers numpy reserves on import.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         proc = subprocess.run([sys.executable, "-m", "learncurve.cli", *argv], env=env, preexec_fn=cap,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3, proc.stderr

@@ -119,21 +119,21 @@ class TestBuild:
         with pytest.raises(ParameterError, match=f"^sizes must be a non-negative integer, got {re.escape(shown)}$"):
             build_nested_subsets(make_pool(2, 10), sizes, seed=1)
 
-    # The sizes rule runs first, as the seed rule does; divisibility, a rule of the classes, comes after the images.
+    # SubsetManifest holds the size rules, so an image error comes first.
     @pytest.mark.parametrize("pool, sizes, error, message", [
-        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [30, 6], ParameterError,
-         "sizes must be strictly increasing, got [30, 6]"),
-        ([], [30, 6], ParameterError, "sizes must be strictly increasing, got [30, 6]"),
-        ([], [], ParameterError, "sizes must be non-empty"),
-        (make_pool(3, 5), [30, 6], ParameterError, "sizes must be strictly increasing, got [30, 6]"),
+        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [30, 6], DataError,
+         "duplicate image id 'img_00_0000'"),
+        ([], [30, 6], DataError, "no images supplied"),
+        ([], [4], DataError, "no images supplied"),
+        (make_pool(3, 5), [30, 6], DataError,
+         "class 'class0' has only 5 images; the largest subset needs 10 per class"),
         (make_pool(2, 5), [13], DataError,
          "class 'class0' has only 5 images; the largest subset needs 6 per class"),
-        (make_pool(2, 10) + [("img_00_0000", "class0", None)], [13], DataError, "duplicate image id 'img_00_0000'"),
-        (make_pool(3, 40), (30, 6), ParameterError, "sizes must be strictly increasing, got [30, 6]"),
+        (make_pool(3, 40), [30, 6], ParameterError, "sizes must be strictly increasing, got [30, 6]"),
         (make_pool(2, 5), [-3], ParameterError, "sizes must be >= 1, got -3"),
-    ], ids=["duplicate-id", "no-images", "no-sizes", "small-class-unsorted", "small-class-indivisible",
-            "duplicate-id-indivisible", "sizes-as-tuple", "negative-indivisible"])
-    def test_size_rules_come_before_the_image_rules(self, pool, sizes, error, message):
+    ], ids=["duplicate-id", "no-images", "no-images-valid-sizes", "small-class-unsorted", "small-class-indivisible",
+            "sizes-as-tuple", "negative-indivisible"])
+    def test_size_rules_come_after_the_image_rules(self, pool, sizes, error, message):
         with pytest.raises(error) as info:
             build_nested_subsets(pool, sizes, seed=1)
         assert str(info.value) == message
